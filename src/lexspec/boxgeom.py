@@ -409,10 +409,6 @@ def format_interval(iv: Interval) -> str:
     return f"{left}{_format_end(iv.lo)},{_format_end(iv.hi)}{right}"
 
 
-def format_box(b: Box) -> str:
-    return str(b)
-
-
 def format_region(r: Region) -> str:
     if r.is_empty():
         return "empty"
@@ -464,7 +460,3 @@ def parse_region(text: str, n: int) -> Region:
 
 def parse_point(text: str) -> RatPoint:
     return tuple(parse_rational(p) for p in text.strip().split(","))
-
-
-def format_point(point: Sequence[Fraction]) -> str:
-    return ",".join(format_rational(Fraction(x)) for x in point)

@@ -30,9 +30,8 @@ from .spectral import (
     AxiomReport,
     CellIndex,
     StepResolution,
+    _induced_values,
     check_axioms,
-    eval_F,
-    from_observable,
 )
 
 
@@ -192,6 +191,21 @@ def level_regions(F: StepResolution) -> LevelDecomposition:
 def all_blocks(F: StepResolution) -> BlockReport:
     """Compute every block of every nonzero level."""
     axioms = check_axioms(F)
+    found = _blocks(F)
+    levels: dict[int, list[Block]] = {}
+    for block in found:
+        levels.setdefault(block.level, []).append(block)
+    return BlockReport(
+        k=F.signature.k,
+        n=F.n,
+        levels={i: tuple(bs) for i, bs in levels.items()},
+        axioms=axioms,
+        pathological=(not axioms.ok) or any(b.flags for b in found),
+    )
+
+
+def _blocks(F: StepResolution) -> list[Block]:
+    """Every block, by level and then characteristic point; no axiom check."""
     groups: dict[tuple[int, ExtPoint], list[tuple[CellIndex, tuple[int, ...]]]] = {}
     for idx in F.cells():
         i = _level(F, idx)
@@ -201,8 +215,7 @@ def all_blocks(F: StepResolution) -> BlockReport:
         cp = tuple(_projection_value(F, j, starts[j]) for j in range(F.n))
         groups.setdefault((i, cp), []).append((idx, starts))
 
-    levels: dict[int, list[Block]] = {}
-    any_flag = False
+    found: list[Block] = []
     for (i, cp), members in sorted(
         groups.items(), key=lambda kv: (kv[0][0], tuple(_ext_key(c) for c in kv[0][1]))
     ):
@@ -265,44 +278,12 @@ def all_blocks(F: StepResolution) -> BlockReport:
             infimum=inf,
             flags=tuple(flags),
         )
-        any_flag = any_flag or bool(flags)
-        levels.setdefault(i, []).append(block)
-
-    return BlockReport(
-        k=F.signature.k,
-        n=F.n,
-        levels={i: tuple(bs) for i, bs in levels.items()},
-        axioms=axioms,
-        pathological=(not axioms.ok) or any_flag,
-    )
+        found.append(block)
+    return found
 
 
 def blocks(F: StepResolution, level: int) -> tuple[Block, ...]:
     return all_blocks(F).levels.get(level, ())
-
-
-def block_infimum(F: StepResolution, block: Block) -> LexElement | None:
-    """Lattice meet of F over the block; lies in the block's level stratum."""
-    inf: LexElement | None = None
-    for idx in block.cells:
-        v = F.values[idx]
-        inf = v if inf is None else meet(inf, v)
-    if inf is not None and inf.h != block.level:
-        return None
-    return inf
-
-
-def t0_adjoined(F: StepResolution, block: Block) -> bool:
-    """Whether every per-axis replaced point of every member lands in T_0."""
-    for idx in block.cells:
-        for j in range(F.n):
-            r0 = _run_start(F, idx, j)
-            if r0 == 0:
-                return False
-            probe = idx[:j] + (r0 - 1,) + idx[j + 1 :]
-            if _level(F, probe) != 0:
-                return False
-    return True
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -339,8 +320,7 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     :class:`NotReconstructibleError`; undefined infima raise
     :class:`PathologicalResolutionError`.
     """
-    report = all_blocks(F)
-    adjoined = [b for b in report.all_blocks() if b.t0_adjoined]
+    adjoined = [b for b in _blocks(F) if b.t0_adjoined]
     weights: list[LexElement] = []
     points: list[tuple[Fraction, ...]] = []
     for b in adjoined:
@@ -368,35 +348,19 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     except ObservableError as exc:
         raise NotReconstructibleError(str(exc)) from exc
 
-    F2 = from_observable(candidate)
-    merged = [
-        tuple(sorted(set(F.breakpoints[j]) | set(F2.breakpoints[j]))) for j in range(F.n)
-    ]
-    for idx in product(*[range(len(bs) + 1) for bs in merged]):
-        rep = tuple(
-            merged[j][idx[j]] if idx[j] < len(merged[j]) else merged[j][-1] + 1
-            for j in range(F.n)
-        )
-        got = eval_F(F, rep)
-        want = eval_F(F2, rep)
-        if got != want:
-            cell_text = "x".join(
-                _merged_cell_text(merged[j], idx[j]) for j in range(F.n)
-            )
+    # Adjoined characteristic points are breakpoint vectors of F, so the
+    # candidate's resolution lives on F's own grid.
+    induced = _induced_values(candidate, F.breakpoints)
+    for idx in F.cells():
+        if induced[idx] != F.values[idx]:
             return MismatchReport(
                 candidate=candidate,
-                witness_point=rep,
-                witness_cell=cell_text,
-                value_f=got,
-                value_candidate=want,
+                witness_point=F.cell_rep(idx),
+                witness_cell=str(F.cell_box(idx)),
+                value_f=F.values[idx],
+                value_candidate=induced[idx],
             )
     return candidate
-
-
-def _merged_cell_text(breaks: tuple[Fraction, ...], r: int) -> str:
-    lo = "-inf" if r == 0 else format_rational(breaks[r - 1])
-    hi = "+inf" if r == len(breaks) else format_rational(breaks[r])
-    return f"({lo},{hi}{']' if r < len(breaks) else ')'}"
 
 
 # --- combinatorial checks ------------------------------------------------------

@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="analyze a built-in example")
     p.add_argument("name", help=f"one of: {', '.join(example_names())}")
     p.add_argument("--k", type=int, default=None, help="algebra height for patho/M")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.set_defaults(func=cmd_example)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from xml.sax.saxutils import escape
 
 from .boxgeom import format_rational, is_finite
-from .charpoints import BlockReport, all_blocks, format_ext_point
+from .charpoints import all_blocks, format_ext_point
 from .spectral import StepResolution, eval_F
 
 
@@ -37,12 +37,11 @@ def _level_glyph(level: int) -> str:
     return chr(ord("a") + level - 10)
 
 
-def render_ascii(F: StepResolution, report: BlockReport | None = None) -> str:
+def render_ascii(F: StepResolution) -> str:
     """Level map on a fixed 60x24 character grid; characteristic points are '*'."""
     if F.n != 2:
         raise RenderError("rendering needs a two-dimensional resolution")
-    if report is None:
-        report = all_blocks(F)
+    report = all_blocks(F)
     xmin, xmax, ymin, ymax = _bbox(F)
     dx = (xmax - xmin) / ASCII_WIDTH
     dy = (ymax - ymin) / ASCII_HEIGHT
@@ -100,12 +99,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(F: StepResolution, report: BlockReport | None = None) -> str:
+def render_svg(F: StepResolution) -> str:
     """SVG 1.1 level map with block outlines and labelled characteristic points."""
     if F.n != 2:
         raise RenderError("rendering needs a two-dimensional resolution")
-    if report is None:
-        report = all_blocks(F)
+    report = all_blocks(F)
     xmin, xmax, ymin, ymax = _bbox(F)
     k = F.signature.k
     plot_h = _SVG_H - _LEGEND_H

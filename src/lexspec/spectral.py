@@ -14,8 +14,9 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Mapping, Sequence
+from itertools import combinations, islice, product
+from math import prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .boxgeom import (
     NEG_INF,
@@ -132,12 +133,17 @@ def from_cells(
         if any(bs[i] >= bs[i + 1] for i in range(len(bs) - 1)):
             raise ResolutionError(f"axis {j} breakpoints must be strictly increasing")
         norm_breaks.append(tuple(bs))
-    expected = set(product(*[range(len(bs) + 1) for bs in norm_breaks]))
-    got = set(values.keys())
-    if got != expected:
-        missing = sorted(expected - got)[:3]
-        extra = sorted(got - expected)[:3]
-        raise ResolutionError(f"cell map mismatch: missing {missing}, extra {extra}")
+    # Distinct in-shape keys, as many as the grid has cells, are the whole
+    # grid; the grid itself is never built, as it may be far larger than the map.
+    shape = [len(bs) for bs in norm_breaks]
+    extra = sorted(
+        idx for idx in values
+        if len(idx) != n or not all(0 <= r <= m for r, m in zip(idx, shape))
+    )
+    if extra or len(values) != prod(m + 1 for m in shape):
+        cells = product(*[range(m + 1) for m in shape])
+        missing = list(islice((idx for idx in cells if idx not in values), 3))
+        raise ResolutionError(f"cell map mismatch: missing {missing}, extra {extra[:3]}")
     for idx, v in values.items():
         if v.signature != signature:
             raise ResolutionError(f"cell {idx} value has a foreign signature")
@@ -153,24 +159,51 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
     cell is the sum of the weights of atoms strictly dominated by any (hence
     every) point of the cell.
     """
-    sig = x.signature
     breaks = tuple(
         tuple(sorted({a.point[j] for a in x.atoms})) for j in range(x.n)
     )
+    return StepResolution(x.signature, x.n, breaks, _induced_values(x, breaks))
+
+
+def _induced_values(
+    x: DiscreteObservable, breaks: Sequence[Sequence[Fraction]]
+) -> dict[CellIndex, LexElement]:
+    """Cell values of the resolution of ``x`` on a grid whose breakpoints
+    include every atom coordinate: each weight is placed at its rank vector,
+    then prefix-summed along every axis."""
     shape = tuple(len(bs) for bs in breaks)
-    values: dict[CellIndex, LexElement] = {
-        idx: sig.zero for idx in product(*[range(m + 1) for m in shape])
-    }
-    # place each atom at its rank vector, then prefix-sum along every axis
+    values = {idx: x.signature.zero for idx in product(*[range(m + 1) for m in shape])}
     for atom in x.atoms:
         rank = tuple(bisect_left(breaks[j], atom.point[j]) + 1 for j in range(x.n))
         values[rank] = group_add(values[rank], atom.weight)
-    for axis in range(x.n):
-        for idx in sorted(values):
-            if idx[axis] > 0:
-                prev = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1 :]
-                values[idx] = group_add(values[idx], values[prev])
-    return StepResolution(sig, x.n, breaks, values)
+    _sweep(values, shape, range(x.n))
+    return values
+
+
+def _sweep(
+    values: dict[CellIndex, LexElement],
+    shape: Sequence[int],
+    axes: Iterable[int],
+    diff: bool = False,
+) -> None:
+    """Prefix-sum a cell map in place along each of ``axes``; with ``diff``,
+    take first differences instead, reading cells below index 0 as zero.
+
+    The two undo each other (Moebius inversion on a product of chains): a
+    resolution is the prefix sum over all axes of its atomic masses, so every
+    volume and partial difference on the grid is a sum of masses.  This is the
+    only place the grid is summed or differenced.
+    """
+    for axis in axes:
+        rest = [range(m + 1) for j, m in enumerate(shape) if j != axis]
+        for other in product(*rest):
+            line = [other[:axis] + (r,) + other[axis:] for r in range(shape[axis] + 1)]
+            if diff:
+                for r in range(len(line) - 1, 0, -1):
+                    values[line[r]] = group_sub(values[line[r]], values[line[r - 1]])
+            else:
+                for r in range(1, len(line)):
+                    values[line[r]] = group_add(values[line[r]], values[line[r - 1]])
 
 
 def eval_F(F: StepResolution, point: Sequence[Fraction]) -> LexElement:
@@ -377,18 +410,22 @@ def check_axioms(F: StepResolution) -> AxiomReport:
         True, note="holds by construction: cells are left open, right closed"
     )
 
+    masses = dict(F.values)
+    _sweep(masses, shape, range(F.n), diff=True)
+
     vol = AxiomStatus(True, note="checked on atomic boxes; additivity covers the rest")
-    for idx in product(*[range(1, m + 1) for m in shape]):
-        mass = _atomic_mass(F, idx, range(F.n))
-        if not zero <= mass:
-            vol = AxiomStatus(
-                False,
-                witness={
-                    "box": [[str(a), str(b)] for a, b in _atomic_box(F, idx)],
-                    "volume": str(mass),
-                },
-            )
-            break
+    bad = next(
+        (idx for idx in product(*[range(1, m + 1) for m in shape]) if not zero <= masses[idx]),
+        None,
+    )
+    if bad is not None:
+        vol = AxiomStatus(
+            False,
+            witness={
+                "box": [[str(a), str(b)] for a, b in _atomic_box(F, bad)],
+                "volume": str(masses[bad]),
+            },
+        )
     report.statuses["volume_nonneg"] = vol
 
     if F.n == 1:
@@ -397,33 +434,34 @@ def check_axioms(F: StepResolution) -> AxiomReport:
         )
     else:
         pd = AxiomStatus(True, note="checked on atomic boxes per axis subset")
-        for size in range(1, F.n):
-            for axes in _subsets(range(F.n), size):
-                for idx in _mixed_indices(shape, axes):
-                    mass = _atomic_mass(F, idx, axes)
-                    if not zero <= mass:
-                        pd = AxiomStatus(
-                            False,
-                            witness={
-                                "axes": list(axes),
-                                "index": list(idx),
-                                "delta": str(mass),
-                            },
-                        )
-                        break
-                if not pd.ok:
-                    break
-            if not pd.ok:
-                break
+        found = next(
+            ((axes, idx, d) for axes, idx, d in _partial_deltas(masses, shape) if not zero <= d),
+            None,
+        )
+        if found is not None:
+            axes, idx, delta = found
+            pd = AxiomStatus(
+                False,
+                witness={"axes": list(axes), "index": list(idx), "delta": str(delta)},
+            )
         report.statuses["partial_delta_nonneg"] = pd
 
     return report
 
 
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)
+def _partial_deltas(
+    masses: dict[CellIndex, LexElement], shape: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], CellIndex, LexElement]]:
+    """(axes, index, delta) for every proper nonempty axis subset, by size and
+    then in ``combinations`` order: the difference of F along ``axes`` is the
+    sum of the masses along the other axes."""
+    n = len(shape)
+    for size in range(1, n):
+        for axes in combinations(range(n), size):
+            summed = dict(masses)
+            _sweep(summed, shape, [j for j in range(n) if j not in axes])
+            for idx in _mixed_indices(shape, axes):
+                yield axes, idx, summed[idx]
 
 
 def _mixed_indices(shape: tuple[int, ...], axes) -> Iterator[CellIndex]:
@@ -433,22 +471,6 @@ def _mixed_indices(shape: tuple[int, ...], axes) -> Iterator[CellIndex]:
         range(1, m + 1) if j in axis_set else range(m + 1) for j, m in enumerate(shape)
     ]
     return product(*ranges)
-
-
-def _atomic_mass(F: StepResolution, idx: CellIndex, axes) -> LexElement:
-    """Alternating difference of cell values between ``idx`` and ``idx - 1`` on ``axes``."""
-    axes = list(axes)
-    total = F.signature.zero
-    for eps in product((0, 1), repeat=len(axes)):
-        corner = list(idx)
-        for j, e in zip(axes, eps):
-            corner[j] = idx[j] - 1 + e
-        term = F.values[tuple(corner)]
-        if (len(axes) - sum(eps)) % 2 == 0:
-            total = group_add(total, term)
-        else:
-            total = group_sub(total, term)
-    return total
 
 
 # --- JSON form ---------------------------------------------------------------

@@ -36,13 +36,13 @@ from .lexalg import (
 from .observable import DiscreteObservable, make_observable
 from .spectral import (
     StepResolution,
-    check_axioms,
     from_cells,
     from_observable,
     point_mass_via_deltas,
 )
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -63,7 +63,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -85,14 +85,14 @@ class SplitMix64:
 
 
 def trial_rng(seed: int, index: int) -> SplitMix64:
-    """Generator for one trial: seeded with the index-th output of SplitMix64(seed)."""
+    """Generator for one trial: seeded with the index-th output of SplitMix64(seed).
+
+    The master state after ``index`` draws is ``seed + index * gamma``, so the
+    draw is taken directly (Steele, Lea & Flood, OOPSLA 2014).
+    """
     if index < 0:
         raise ValueError(f"trial index must be >= 0, got {index}")
-    master = SplitMix64(seed)
-    out = 0
-    for _ in range(index + 1):
-        out = master.next_u64()
-    return SplitMix64(out)
+    return SplitMix64(SplitMix64(seed + index * _GAMMA).next_u64())
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,9 +400,8 @@ def run_suite(config: TrialConfig) -> SuiteSummary:
         F = from_observable(x)
         k = x.signature.k
 
-        record("axioms", index, check_axioms(F).ok)
-
         report = all_blocks(F)
+        record("axioms", index, report.axioms.ok)
         record("tk_unique_char_point", index, len(report.levels.get(k, ())) == 1)
         record("bounds", index, bounds_check(report).ok)
 

@@ -1,12 +1,16 @@
 """Shared test oracles, independent of ``lexspec.charpoints``.
 
 Imported by tests/test_acceptance.py and tests/test_charpoints.py so that the
-gallery's characteristic-point table and its brute-force oracle exist once.
+gallery's characteristic-point table and its brute-force oracle exist once,
+and by tests/test_spectral.py for the corner-sum reference of the grid kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from itertools import combinations, product
+
+from lexspec.spectral import partial_delta, volume
 
 
 # Characteristic points per gallery case.  Every nonempty level set T_i,
@@ -61,3 +65,37 @@ def oracle_char_points(x) -> set[tuple[Q, Q]]:
                 b -= step
             found.add((a - step, b - step))
     return found
+
+
+def oracle_difference_statuses(F) -> dict[str, tuple[bool, dict | None]]:
+    """(ok, witness) of ``volume_nonneg`` and ``partial_delta_nonneg`` by corner sums.
+
+    Walks the cells in the order ``check_axioms`` reports them and evaluates
+    each difference with the public ``volume`` and ``partial_delta`` at real
+    coordinates: from the breakpoint below the cell to ``F.cell_rep`` on the
+    differenced axes, ``F.cell_rep`` on the fixed ones.  The first negative
+    value is the witness.
+    """
+
+    def bounds(idx, axes):
+        return {j: (F.breakpoints[j][idx[j] - 1], F.cell_rep(idx)[j]) for j in axes}
+
+    out = {"volume_nonneg": (True, None), "partial_delta_nonneg": (True, None)}
+    zero = F.signature.zero
+    for idx in product(*[range(1, m + 1) for m in F.shape]):
+        box = bounds(idx, range(F.n))
+        v = volume(F, [box[j] for j in range(F.n)])
+        if not zero <= v:
+            witness = {"box": [[str(a), str(b)] for a, b in box.values()], "volume": str(v)}
+            out["volume_nonneg"] = (False, witness)
+            break
+    for size in range(1, F.n):
+        for axes in combinations(range(F.n), size):
+            ranges = [range(1 if j in axes else 0, m + 1) for j, m in enumerate(F.shape)]
+            for idx in product(*ranges):
+                d = partial_delta(F, bounds(idx, axes), F.cell_rep(idx))
+                if not zero <= d:
+                    witness = {"axes": list(axes), "index": list(idx), "delta": str(d)}
+                    out["partial_delta_nonneg"] = (False, witness)
+                    return out
+    return out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -188,6 +189,12 @@ class TestExample:
     def test_unknown_name(self, capsys):
         assert main(["example", "3.7/17"]) == 2
 
+    def test_json_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["example", "3.7/7", "--json"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
 
 class TestLoadDocument:
     def test_kind_inference(self, tmp_path, capsys):
@@ -197,6 +204,19 @@ class TestLoadDocument:
         path.write_text(json.dumps(doc))
         assert main(["eval", "--input", str(path), "--point", "4,4"]) == 0
         assert capsys.readouterr().out == "(2; 0)\n"
+
+    def test_huge_declared_grid_exit_code(self, tmp_path, capsys):
+        doc = {
+            "kind": "resolution", "k": 1, "d": 1, "n": 6,
+            "breakpoints": [list(range(60))] * 6,
+            "cells": [{"index": [0] * 6, "value": {"h": 0, "g": [0]}}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["axioms", "--input", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "cell map mismatch" in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "junk.json"

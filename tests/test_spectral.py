@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction as Q
 from itertools import combinations, product
 
 import pytest
 
 from lexspec.gallery import build_observable
-from lexspec.lexalg import AlgebraSignature, LexElement
+from lexspec.lexalg import AlgebraSignature, LexElement, in_unit_interval
 from lexspec.spectral import (
     ResolutionError,
     StepResolution,
+    _sweep,
     additive_extension,
     check_axioms,
     eval_F,
@@ -22,6 +24,8 @@ from lexspec.spectral import (
     volume,
 )
 from lexspec.verify import SplitMix64, TrialConfig, mismatch_resolution, random_observable
+
+from oracles import oracle_difference_statuses
 
 SIG = AlgebraSignature(2, 1)
 
@@ -165,6 +169,24 @@ class TestFromCells:
         with pytest.raises(ResolutionError, match="cell map"):
             from_cells(sig, 2, ((Q(1),), (Q(1),)), {(0, 0): sig.zero})
 
+    def test_mismatch_reports_first_missing_and_extra_cells(self):
+        sig = AlgebraSignature(2, 1)
+        values = {(0, 0): sig.zero, (0, 2): sig.zero, (1, 1, 0): sig.zero}
+        with pytest.raises(ResolutionError) as info:
+            from_cells(sig, 2, ((Q(1),), (Q(1),)), values)
+        assert str(info.value) == (
+            "cell map mismatch: missing [(0, 1), (1, 0), (1, 1)], extra [(0, 2), (1, 1, 0)]"
+        )
+
+    def test_huge_grid_rejected_without_enumerating_it(self):
+        # 61^6 (about 5e10) cells are declared and one is given
+        sig = AlgebraSignature(1, 1)
+        breaks = [tuple(Q(b) for b in range(60))] * 6
+        start = time.perf_counter()
+        with pytest.raises(ResolutionError, match="cell map mismatch"):
+            from_cells(sig, 6, breaks, {(0,) * 6: sig.zero})
+        assert time.perf_counter() - start < 1.0
+
     def test_value_outside_interval_rejected(self):
         sig = AlgebraSignature(2, 1)
         bad = LexElement(sig, 3, (0,))
@@ -245,8 +267,53 @@ def _random_table(rng: SplitMix64, k=2, m=2):
     return from_cells(sig, 2, (breaks, breaks), values)
 
 
+def _perturbed(rng: SplitMix64, F: StepResolution) -> StepResolution:
+    """``F`` with up to two cells overwritten by random members of [0, u].
+
+    The cells are drawn from the top cell, the border cells (some index 0)
+    and the whole grid, so borders turn nonzero, the top leaves the unit and
+    increments turn negative.
+    """
+    sig = F.signature
+    cells = list(F.cells())
+    borders = [idx for idx in cells if 0 in idx]
+    values = dict(F.values)
+    for _ in range(rng.randint(0, 2)):
+        value = LexElement(sig, rng.randint(0, sig.k), (rng.randint(-3, 3),))
+        if in_unit_interval(value):
+            values[rng.choice([F.shape, rng.choice(borders), rng.choice(cells)])] = value
+    return from_cells(sig, F.n, F.breakpoints, values)
+
+
 class TestVolumeReductionOracle:
     """The atomic-box reduction in check_axioms against brute-force enumeration."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_difference_statuses_match_corner_sums(self, n):
+        cfg = TrialConfig(
+            seed=n, trials=0, k_range=(1, 3), d_range=(1, 1), n_range=(n, n), max_atoms=4
+        )
+        rng = SplitMix64(40 + n)
+        verdicts = {}
+        for i in range(60):
+            F = _perturbed(rng, from_observable(random_observable(cfg, i)))
+            statuses = check_axioms(F).statuses
+            for name, want in oracle_difference_statuses(F).items():
+                assert (statuses[name].ok, statuses[name].witness) == want
+            for name, status in statuses.items():
+                verdicts.setdefault(name, set()).add(status.ok)
+            # the masses are the first differences; summing them back gives F
+            masses = dict(F.values)
+            _sweep(masses, F.shape, range(F.n), diff=True)
+            for idx in product(*[range(1, m + 1) for m in F.shape]):
+                lower = [F.breakpoints[j][r - 1] for j, r in enumerate(idx)]
+                assert masses[idx] == point_mass_via_deltas(F, lower)
+            _sweep(masses, F.shape, range(F.n))
+            assert masses == F.values
+        checked = ["monotone", "bottom_zero", "top_unit", "volume_nonneg"]
+        if n > 1:
+            checked.append("partial_delta_nonneg")
+        assert all(verdicts[name] == {True, False} for name in checked), verdicts
 
     def test_nonnegativity_verdicts_agree(self):
         rng = SplitMix64(99)

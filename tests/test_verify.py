@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 from collections import Counter
 
 import pytest
@@ -53,6 +54,21 @@ class TestSplitMix64:
         b = trial_rng(9, 5).next_u64()
         assert a == b
         assert trial_rng(9, 6).next_u64() != a
+
+    @pytest.mark.parametrize("seed", [0, -5, 2**64 - 1, 2**70 + 3])
+    def test_trial_rng_matches_replayed_master_stream(self, seed):
+        for index in (0, 1, 17, 999):
+            master = SplitMix64(seed)
+            for _ in range(index + 1):
+                out = master.next_u64()
+            want = SplitMix64(out)
+            got = trial_rng(seed, index)
+            assert got.state == want.state
+            assert [got.next_u64() for _ in range(3)] == [want.next_u64() for _ in range(3)]
+
+    def test_trial_rng_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="index"):
+            trial_rng(0, -1)
 
 
 class TestRandomObservable:
@@ -228,6 +244,38 @@ class TestMismatchResolution:
         result = reconstruct(F)
         assert isinstance(result, MismatchReport)
         assert result.value_f.h == 0 and result.value_f.g == (3,)
+
+
+def _count_axiom_checks(monkeypatch) -> list:
+    """Wrap ``check_axioms`` under every name a lexspec module binds it to."""
+    import lexspec.spectral
+
+    original = lexspec.spectral.check_axioms
+    calls = []
+
+    def counted(F):
+        calls.append(F)
+        return original(F)
+
+    for name in ("lexspec", "lexspec.spectral", "lexspec.charpoints", "lexspec.verify", "lexspec.cli"):
+        module = importlib.import_module(name)
+        if getattr(module, "check_axioms", None) is original:
+            monkeypatch.setattr(module, "check_axioms", counted)
+    return calls
+
+
+class TestAxiomCheckCount:
+    def test_one_check_per_suite_trial(self, monkeypatch):
+        calls = _count_axiom_checks(monkeypatch)
+        # trial 0 of seed 6 has every atom at an adjoined point
+        summary = run_suite(TrialConfig(seed=6, trials=1))
+        assert summary.runs["reconstruct_roundtrip"] == 1
+        assert len(calls) == 1
+
+    def test_reconstruct_does_not_check(self, monkeypatch):
+        calls = _count_axiom_checks(monkeypatch)
+        assert isinstance(reconstruct(mismatch_resolution()), MismatchReport)
+        assert calls == []
 
 
 class TestRunSuite:
