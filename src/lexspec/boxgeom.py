@@ -6,17 +6,18 @@ sentinels; every interval endpoint carries its own closure flag.  A
 so two regions describe the same point set iff their representations are
 identical.
 
-Canonical form: collect all finite endpoint values per axis, refine to the
-induced grid of atomic cells (isolated points and open gaps), keep the
-occupied cells, then greedily merge adjacent cells along the last axis, then
-the one before it, and so on.  The result is deterministic; compactness is
-not a goal.
+Canonical form: rank the finite endpoint values of each axis once; every
+interval is then a run of integer piece indices on the induced grid of atomic
+cells (isolated points and open gaps).  Keep the occupied cells, greedily
+merge adjacent runs along the last axis, then the one before it, and so on,
+and build intervals only for the final runs.  The boolean operations pick
+atomic cells on the common grid of both operands and canonicalize those.  The
+result is deterministic; compactness is not a goal.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -61,12 +62,6 @@ RatPoint = tuple[Fraction, ...]
 
 def is_finite(v: ExtRat) -> bool:
     return not isinstance(v, _Infinity)
-
-
-def as_fraction(v) -> Fraction:
-    if isinstance(v, _Infinity):
-        raise GeometryError("expected a finite coordinate")
-    return Fraction(v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,128 +143,96 @@ class Box:
 
 # --- canonicalization -------------------------------------------------------
 #
-# Atomic pieces of one axis, given sorted finite values v1 < ... < vm:
-#   (-inf,v1), [v1,v1], (v1,v2), [v2,v2], ..., (vm,+inf)    (2m+1 pieces)
-# With m = 0 the single piece is the full line.  Any interval whose finite
-# endpoints are among the values decomposes exactly into a contiguous run of
-# pieces; piece index arithmetic below exploits that.
+# Atomic pieces of one axis, given sorted finite values v_0 < ... < v_{m-1}:
+#   (-inf,v_0), [v_0,v_0], (v_0,v_1), [v_1,v_1], ..., (v_{m-1},+inf)
+# are numbered 0 .. 2m: piece 2r+1 is the point v_r and piece 2r the open gap
+# below it.  With m = 0 the single piece 0 is the full line.  An interval whose
+# finite endpoints are among the values is the contiguous run of pieces
+# (lo, hi) with
+#   lo = 0 for -inf, 2r+1 for a closed end at v_r, 2r+2 for an open one;
+#   hi = 2m for +inf, 2r+1 for a closed end at v_r, 2r for an open one.
+# Two runs tile one interval iff the second starts at the first's hi + 1, and
+# the order of runs as (lo, hi) pairs is the order of their intervals by
+# (lower end, lower end open, upper end, upper end closed).
 
 
-def _pieces(values: Sequence[Fraction]) -> list[Interval]:
-    if not values:
-        return [FULL_LINE]
-    out: list[Interval] = [Interval(NEG_INF, False, values[0], False)]
-    for i, v in enumerate(values):
-        out.append(Interval(v, True, v, True))
-        if i + 1 < len(values):
-            out.append(Interval(v, False, values[i + 1], False))
-    out.append(Interval(values[-1], False, POS_INF, False))
-    return out
-
-
-def _piece_range(iv: Interval, values: Sequence[Fraction]) -> tuple[int, int]:
-    """Inclusive piece-index range covered by ``iv`` (endpoints must be on grid)."""
-    if not values:
-        return (0, 0)
-    if isinstance(iv.lo, _Infinity):
-        start = 0
-    else:
-        pos = bisect_left(values, iv.lo)
-        start = 2 * pos + 1 if iv.lo_closed else 2 * pos + 2
-    if isinstance(iv.hi, _Infinity):
-        end = 2 * len(values)
-    else:
-        pos = bisect_left(values, iv.hi)
-        end = 2 * pos + 1 if iv.hi_closed else 2 * pos
-    return (start, end)
-
-
-def _adjacent(a: Interval, b: Interval) -> bool:
-    """Whether ``a`` and ``b`` tile a single interval, ``a`` directly below ``b``."""
-    return a.hi == b.lo and (a.hi_closed != b.lo_closed)
-
-
-def _merge_run(a: Interval, b: Interval) -> Interval:
-    return Interval(a.lo, a.lo_closed, b.hi, b.hi_closed)
-
-
-def _canonical_boxes(n: int, boxes: Sequence[Box]) -> tuple[Box, ...]:
-    for b in boxes:
-        if b.n != n:
-            raise GeometryError(f"box of dimension {b.n} in a {n}-dimensional region")
-    if not boxes:
-        return ()
-    axis_values: list[list[Fraction]] = []
-    for j in range(n):
-        vals = set()
+def _grid(
+    n: int, box_lists: Sequence[Sequence[Box]]
+) -> tuple[list[list[Fraction]], list[set[tuple[int, ...]]]]:
+    """Sorted finite endpoints per axis over all ``box_lists``, and the set of
+    atomic cells (tuples of piece indices) each list covers on that grid."""
+    axis_sets: list[set[Fraction]] = [set() for _ in range(n)]
+    for boxes in box_lists:
         for b in boxes:
-            iv = b.dims[j]
-            if is_finite(iv.lo):
-                vals.add(iv.lo)
-            if is_finite(iv.hi):
-                vals.add(iv.hi)
-        axis_values.append(sorted(vals))
-    axis_pieces = [_pieces(vals) for vals in axis_values]
-
-    occupied: set[tuple[int, ...]] = set()
-    for b in boxes:
-        ranges = [_piece_range(iv, axis_values[j]) for j, iv in enumerate(b.dims)]
-        occupied.update(product(*[range(lo, hi + 1) for lo, hi in ranges]))
-
-    # Cells as tuples of per-axis components; start from atomic pieces and
-    # merge axis n-1 down to axis 0.
-    cells: list[tuple[Interval, ...]] = [
-        tuple(axis_pieces[j][idx[j]] for j in range(n)) for idx in sorted(occupied)
-    ]
-    for axis in range(n - 1, -1, -1):
-        groups: dict[tuple, list[tuple[Interval, ...]]] = {}
-        order: list[tuple] = []
-        for cell in cells:
-            key = tuple(cell[m] for m in range(n) if m != axis)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(cell)
-        merged: list[tuple[Interval, ...]] = []
-        for key in order:
-            # cells in one group share every component except `axis`
-            group = sorted(groups[key], key=lambda c: _sort_key_interval(c[axis]))
-            run: Interval | None = None
-            for cell in group:
-                iv = cell[axis]
-                if run is None:
-                    run = iv
-                elif _adjacent(run, iv):
-                    run = _merge_run(run, iv)
-                else:
-                    merged.append(_rebuild(group[0], axis, run))
-                    run = iv
-            if run is not None:
-                merged.append(_rebuild(group[0], axis, run))
-        cells = merged
-    out = [Box(c) for c in cells]
-    out.sort(key=_sort_key_box)
-    return tuple(out)
+            if b.n != n:
+                raise GeometryError(f"box of dimension {b.n} in a {n}-dimensional region")
+            for vals, iv in zip(axis_sets, b.dims):
+                if iv.lo is not NEG_INF:
+                    vals.add(iv.lo)
+                if iv.hi is not POS_INF:
+                    vals.add(iv.hi)
+    values = [sorted(vals) for vals in axis_sets]
+    ranks = [{v: r for r, v in enumerate(vals)} for vals in values]
+    tops = [2 * len(vals) for vals in values]
+    cell_sets = []
+    for boxes in box_lists:
+        cells: set[tuple[int, ...]] = set()
+        for b in boxes:
+            ranges = []
+            for rank, top, iv in zip(ranks, tops, b.dims):
+                lo = 0 if iv.lo is NEG_INF else 2 * rank[iv.lo] + (1 if iv.lo_closed else 2)
+                hi = top if iv.hi is POS_INF else 2 * rank[iv.hi] + (1 if iv.hi_closed else 0)
+                ranges.append(range(lo, hi + 1))
+            cells.update(product(*ranges))
+        cell_sets.append(cells)
+    return values, cell_sets
 
 
-def _rebuild(cell: tuple[Interval, ...], axis: int, iv: Interval) -> tuple[Interval, ...]:
-    parts = list(cell)
-    parts[axis] = iv
-    return tuple(parts)
+def _run_interval(vals: Sequence[Fraction], lo: int, hi: int) -> Interval:
+    """The interval covered by the pieces ``lo`` .. ``hi`` of ``vals``."""
+    lo_end = NEG_INF if lo == 0 else vals[(lo - 1) // 2]
+    hi_end = POS_INF if hi == 2 * len(vals) else vals[hi // 2]
+    return Interval(lo_end, lo % 2 == 1, hi_end, hi % 2 == 1)
+
+
+def _merged_boxes(
+    values: Sequence[Sequence[Fraction]], cells: Iterable[tuple[int, ...]]
+) -> tuple[Box, ...]:
+    """Canonical boxes of a set of atomic cells: merge maximal runs of
+    adjacent pieces along axis n-1, then n-2, and so on down to axis 0.
+
+    Before axis j is merged, a cell is the flat tuple (p_0, ..., p_j, lo_{j+1},
+    hi_{j+1}, ..., lo_{n-1}, hi_{n-1}): single pieces up to axis j, runs above
+    it.  Merging turns p_j into lo_j, hi_j, so at the end every cell is a run
+    (lo_0, hi_0, ..., lo_{n-1}, hi_{n-1}) and their integer order is the box
+    order.
+    """
+    runs = cells
+    for axis in range(len(values) - 1, -1, -1):
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for cell in runs:
+            groups.setdefault(cell[:axis] + cell[axis + 1:], []).append(cell[axis])
+        runs = []
+        for rest, pieces in groups.items():
+            pieces.sort()
+            head, tail = rest[:axis], rest[axis:]
+            start = prev = pieces[0]
+            for p in pieces[1:]:
+                if p != prev + 1:
+                    runs.append(head + (start, prev) + tail)
+                    start = p
+                prev = p
+            runs.append(head + (start, prev) + tail)
+    return tuple(
+        Box(tuple(_run_interval(vals, *run[2 * j:2 * j + 2]) for j, vals in enumerate(values)))
+        for run in sorted(runs)
+    )
 
 
 def _ext_key(v: ExtRat) -> tuple[int, Fraction]:
     if isinstance(v, _Infinity):
         return (v.sign, Fraction(0))
     return (0, v)
-
-
-def _sort_key_interval(iv: Interval) -> tuple:
-    return (_ext_key(iv.lo), not iv.lo_closed, _ext_key(iv.hi), iv.hi_closed)
-
-
-def _sort_key_box(b: Box) -> tuple:
-    return tuple(_sort_key_interval(iv) for iv in b.dims)
 
 
 class Region:
@@ -281,7 +244,8 @@ class Region:
         if n < 1:
             raise GeometryError(f"dimension must be >= 1, got {n}")
         self.n = n
-        self.boxes = _canonical_boxes(n, tuple(boxes))
+        values, (cells,) = _grid(n, (tuple(boxes),))
+        self.boxes = _merged_boxes(values, cells)
 
     @classmethod
     def empty(cls, n: int) -> Region:
@@ -315,34 +279,14 @@ class Region:
 
 
 def _boolean_op(r1: Region, r2: Region, keep) -> Region:
+    """``keep`` picks atomic cells from the two regions' cells on their common
+    grid; the result is canonicalized from those cells."""
     if r1.n != r2.n:
         raise GeometryError(f"dimension mismatch: {r1.n} vs {r2.n}")
-    n = r1.n
-    boxes = list(r1.boxes) + list(r2.boxes)
-    if not boxes:
-        return Region.empty(n)
-    axis_values: list[list[Fraction]] = []
-    for j in range(n):
-        vals = set()
-        for b in boxes:
-            iv = b.dims[j]
-            if is_finite(iv.lo):
-                vals.add(iv.lo)
-            if is_finite(iv.hi):
-                vals.add(iv.hi)
-        axis_values.append(sorted(vals))
-
-    def cells_of(region: Region) -> set[tuple[int, ...]]:
-        cells: set[tuple[int, ...]] = set()
-        for b in region.boxes:
-            ranges = [_piece_range(iv, axis_values[j]) for j, iv in enumerate(b.dims)]
-            cells.update(product(*[range(lo, hi + 1) for lo, hi in ranges]))
-        return cells
-
-    kept = keep(cells_of(r1), cells_of(r2))
-    pieces = [_pieces(vals) for vals in axis_values]
-    out_boxes = [Box(tuple(pieces[j][idx[j]] for j in range(n))) for idx in kept]
-    return Region(n, out_boxes)
+    values, (cells1, cells2) = _grid(r1.n, (r1.boxes, r2.boxes))
+    pieces = [[_run_interval(vals, p, p) for p in range(2 * len(vals) + 1)] for vals in values]
+    kept = keep(cells1, cells2)
+    return Region(r1.n, [Box(tuple(axis[p] for axis, p in zip(pieces, cell))) for cell in kept])
 
 
 def union(r1: Region, r2: Region) -> Region:

@@ -104,6 +104,12 @@ def _encode_rational(v: Fraction):
     return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+def _decode_int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ObservableError(f"not an integer: {v!r}")
+    return v
+
+
 def _decode_rational(v) -> Fraction:
     if isinstance(v, bool):
         raise ObservableError(f"not a rational: {v!r}")
@@ -120,7 +126,8 @@ def _encode_element(a: LexElement) -> dict:
 
 def _decode_element(doc, signature: AlgebraSignature) -> LexElement:
     try:
-        return LexElement(signature, int(doc["h"]), tuple(int(x) for x in doc["g"]))
+        g = tuple(_decode_int(x) for x in doc["g"])
+        return LexElement(signature, _decode_int(doc["h"]), g)
     except (KeyError, TypeError, ValueError) as exc:
         raise ObservableError(f"bad element document: {doc!r}") from exc
 
@@ -140,8 +147,8 @@ def observable_to_doc(x: DiscreteObservable) -> dict:
 
 def observable_from_doc(doc: dict) -> DiscreteObservable:
     try:
-        signature = AlgebraSignature(int(doc["k"]), int(doc["d"]))
-        n = int(doc["n"])
+        signature = AlgebraSignature(_decode_int(doc["k"]), _decode_int(doc["d"]))
+        n = _decode_int(doc["n"])
         atoms = [
             (
                 [_decode_rational(c) for c in item["point"]],

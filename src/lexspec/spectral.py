@@ -32,7 +32,14 @@ from .lexalg import (
     group_sub,
     in_unit_interval,
 )
-from .observable import DiscreteObservable, ObservableError, _decode_rational, _encode_rational
+from .observable import (
+    DiscreteObservable,
+    ObservableError,
+    _decode_element,
+    _decode_int,
+    _decode_rational,
+    _encode_rational,
+)
 
 
 class ResolutionError(ValueError):
@@ -152,16 +159,27 @@ def from_cells(
     return StepResolution(signature, n, norm_breaks, values)
 
 
+# Largest dense grid from_observable builds: (m+1)^n cells for m atoms in
+# general position, so a small document can otherwise ask for billions.
+MAX_DENSE_CELLS = 1 << 20
+
+
 def from_observable(x: DiscreteObservable) -> StepResolution:
     """The spectral resolution of ``x``: cell value = mass strictly below the cell.
 
     Breakpoints are the distinct atom coordinates per axis; the value on a
     cell is the sum of the weights of atoms strictly dominated by any (hence
-    every) point of the cell.
+    every) point of the cell.  Grids above ``MAX_DENSE_CELLS`` cells are
+    refused before any cell is built.
     """
     breaks = tuple(
         tuple(sorted({a.point[j] for a in x.atoms})) for j in range(x.n)
     )
+    cells = prod(len(bs) + 1 for bs in breaks)
+    if cells > MAX_DENSE_CELLS:
+        raise ResolutionError(
+            f"dense grid of {cells} cells exceeds the limit of {MAX_DENSE_CELLS}"
+        )
     return StepResolution(x.signature, x.n, breaks, _induced_values(x, breaks))
 
 
@@ -492,13 +510,11 @@ def resolution_to_doc(F: StepResolution) -> dict:
 
 def resolution_from_doc(doc: dict) -> StepResolution:
     try:
-        signature = AlgebraSignature(int(doc["k"]), int(doc["d"]))
-        n = int(doc["n"])
+        signature = AlgebraSignature(_decode_int(doc["k"]), _decode_int(doc["d"]))
+        n = _decode_int(doc["n"])
         breakpoints = [[_decode_rational(b) for b in axis] for axis in doc["breakpoints"]]
         values = {
-            tuple(int(i) for i in cell["index"]): LexElement(
-                signature, int(cell["value"]["h"]), tuple(int(x) for x in cell["value"]["g"])
-            )
+            tuple(_decode_int(i) for i in cell["index"]): _decode_element(cell["value"], signature)
             for cell in doc["cells"]
         }
     except (KeyError, TypeError, ValueError, ObservableError) as exc:

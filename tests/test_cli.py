@@ -218,6 +218,33 @@ class TestLoadDocument:
         assert time.perf_counter() - start < 1.0
         assert "cell map mismatch" in capsys.readouterr().err
 
+    def test_huge_dense_grid_exit_code(self, tmp_path, capsys):
+        doc = {
+            "kind": "observable", "k": 40, "d": 1, "n": 6,
+            "atoms": [{"point": [i] * 6, "weight": {"h": 1, "g": [0]}} for i in range(40)],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["axioms", "--input", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "dense grid of 4750104241 cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["observable", "resolution"])
+    def test_non_integer_field_exit_code(self, tmp_path, capsys, kind):
+        x = build_observable("3.7/1")
+        if kind == "observable":
+            doc = json.loads(observable_to_json(x))
+            doc["atoms"][1]["weight"]["h"] = 1.7
+        else:
+            doc = json.loads(resolution_to_json(from_observable(x)))
+            doc["cells"][-1]["index"] = [3.0, 3]
+        doc["k"] = "2"
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", "--input", str(path)]) == 2
+        assert f"bad {kind} document" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

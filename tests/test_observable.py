@@ -145,7 +145,27 @@ class TestObservableLaws:
             assert x.eval(union(a, b_only)) == group_add(x.eval(a), x.eval(b_only))
 
 
+# Each edit turns a field of the 3.7/1 document into a non-integer that int()
+# would read back as the original value, so only strict decoding rejects it.
+_NON_INTEGER_EDITS = {
+    "k-string": lambda doc: doc.update(k="2"),
+    "k-float": lambda doc: doc.update(k=2.9),
+    "d-bool": lambda doc: doc.update(d=True),
+    "n-float": lambda doc: doc.update(n=2.0),
+    "h-float": lambda doc: doc["atoms"][1]["weight"].update(h=1.7),
+    "h-bool": lambda doc: doc["atoms"][1]["weight"].update(h=True),
+    "g-string": lambda doc: doc["atoms"][1]["weight"].update(g=["2"]),
+}
+
+
 class TestJson:
+    @pytest.mark.parametrize("edit", list(_NON_INTEGER_EDITS))
+    def test_non_integer_field_rejected(self, edit):
+        doc = observable_to_doc(build_observable("3.7/1"))
+        _NON_INTEGER_EDITS[edit](doc)
+        with pytest.raises(ObservableError, match="bad observable document"):
+            observable_from_doc(doc)
+
     def test_round_trip(self):
         x = build_observable("3.7/7")
         assert observable_from_json(observable_to_json(x)) == x

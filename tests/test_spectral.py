@@ -8,7 +8,9 @@ import pytest
 
 from lexspec.gallery import build_observable
 from lexspec.lexalg import AlgebraSignature, LexElement, in_unit_interval
+from lexspec.observable import observable_from_doc
 from lexspec.spectral import (
+    MAX_DENSE_CELLS,
     ResolutionError,
     StepResolution,
     _sweep,
@@ -19,7 +21,9 @@ from lexspec.spectral import (
     from_observable,
     partial_delta,
     point_mass_via_deltas,
+    resolution_from_doc,
     resolution_from_json,
+    resolution_to_doc,
     resolution_to_json,
     volume,
 )
@@ -60,6 +64,18 @@ class TestFromObservable:
     def test_case_five_value(self):
         F = from_observable(build_observable("3.7/5"))
         assert eval_F(F, (Q(5, 2), Q(5, 2))) == SIG.unit
+
+    def test_huge_dense_grid_rejected_before_building_it(self):
+        # 40 atoms on the diagonal of R^6 ask for 41^6 (about 4.7e9) cells
+        doc = {
+            "kind": "observable", "k": 40, "d": 1, "n": 6,
+            "atoms": [{"point": [i] * 6, "weight": {"h": 1, "g": [0]}} for i in range(40)],
+        }
+        start = time.perf_counter()
+        x = observable_from_doc(doc)
+        with pytest.raises(ResolutionError, match=f"exceeds the limit of {MAX_DENSE_CELLS}"):
+            from_observable(x)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEvalF:
@@ -395,7 +411,29 @@ class TestAdditiveExtension:
             assert additive_extension(F, disjoint) <= eval_F(F, corner)
 
 
+# Each edit turns a field of the 3.7/1 resolution document into a non-integer
+# that int() would read back as the original value.
+_NON_INTEGER_EDITS = {
+    "k-string": lambda doc: doc.update(k="2"),
+    "k-float": lambda doc: doc.update(k=2.9),
+    "d-bool": lambda doc: doc.update(d=True),
+    "n-float": lambda doc: doc.update(n=2.0),
+    "index-float": lambda doc: doc["cells"][-1].update(index=[3.0, 3]),
+    "index-bool": lambda doc: doc["cells"][1].update(index=[False, True]),
+    "h-float": lambda doc: doc["cells"][-1]["value"].update(h=2.5),
+    "g-string": lambda doc: doc["cells"][-1]["value"].update(g=["0"]),
+}
+
+
 class TestJson:
+    @pytest.mark.parametrize("edit", list(_NON_INTEGER_EDITS))
+    def test_non_integer_field_rejected(self, F1, edit):
+        doc = resolution_to_doc(F1)
+        assert doc["cells"][1]["index"] == [0, 1] and doc["cells"][-1]["index"] == [3, 3]
+        _NON_INTEGER_EDITS[edit](doc)
+        with pytest.raises(ResolutionError, match="bad resolution document"):
+            resolution_from_doc(doc)
+
     def test_round_trip(self, F7):
         assert resolution_from_json(resolution_to_json(F7)) == F7
 
