@@ -13,6 +13,10 @@ merge adjacent runs along the last axis, then the one before it, and so on,
 and build intervals only for the final runs.  The boolean operations pick
 atomic cells on the common grid of both operands and canonicalize those.  The
 result is deterministic; compactness is not a goal.
+
+Cells of a left-open right-closed breakpoint grid map to pieces directly
+(:func:`cell_region`): on an axis with m breakpoints, cell r covers the
+pieces 2r .. min(2r+1, 2m), so such regions skip the ranking step.
 """
 
 from __future__ import annotations
@@ -276,6 +280,23 @@ class Region:
 
     def __repr__(self) -> str:
         return f"Region({self.n}, {format_region(self)!r})"
+
+
+def cell_region(
+    breakpoints: Sequence[Sequence[Fraction]], cells: Iterable[tuple[int, ...]]
+) -> Region:
+    """Union of cells of the grid on ``breakpoints`` (strictly increasing per
+    axis), where cell r of an axis is (b_{r-1}, b_r] with b_{-1} = -inf and
+    b_m = +inf: its pieces are 2r and, below the top cell, the point 2r+1."""
+    tops = [2 * len(bs) for bs in breakpoints]
+    atoms: set[tuple[int, ...]] = set()
+    for idx in cells:
+        ranges = [range(2 * r, min(2 * r + 2, top + 1)) for r, top in zip(idx, tops)]
+        atoms.update(product(*ranges))
+    region = object.__new__(Region)
+    region.n = len(breakpoints)
+    region.boxes = _merged_boxes(breakpoints, atoms)
+    return region
 
 
 def _boolean_op(r1: Region, r2: Region, keep) -> Region:

@@ -7,6 +7,8 @@ that stays in ``T_i``; the vector of projections is the characteristic point,
 and cells sharing one characteristic point form a block.  Everything here is
 exact cell-index arithmetic: for step functions the infima are breakpoints
 (or -inf, which only pathological resolutions produce and which is flagged).
+Level and block regions are built straight from their cell indices by
+:func:`boxgeom.cell_region`, without a box per cell.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .boxgeom import (
     ExtRat,
     Region,
     _ext_key,
+    cell_region,
     format_rational,
     is_finite,
 )
@@ -30,6 +33,8 @@ from .spectral import (
     AxiomReport,
     CellIndex,
     StepResolution,
+    _element,
+    _flat_values,
     _induced_values,
     check_axioms,
 )
@@ -181,10 +186,10 @@ class BlockReport:
 def level_regions(F: StepResolution) -> LevelDecomposition:
     """Group cells by the height of their value into exact regions."""
     axioms = check_axioms(F)
-    boxes: dict[int, list] = {i: [] for i in range(F.signature.k + 1)}
+    cells: dict[int, list[CellIndex]] = {i: [] for i in range(F.signature.k + 1)}
     for idx in F.cells():
-        boxes[_level(F, idx)].append(F.cell_box(idx))
-    regions = {i: Region(F.n, bs) for i, bs in boxes.items()}
+        cells[_level(F, idx)].append(idx)
+    regions = {i: cell_region(F.breakpoints, cs) for i, cs in cells.items()}
     return LevelDecomposition(regions, axioms, not axioms.ok)
 
 
@@ -206,41 +211,40 @@ def all_blocks(F: StepResolution) -> BlockReport:
 
 def _blocks(F: StepResolution) -> list[Block]:
     """Every block, by level and then characteristic point; no axiom check."""
-    groups: dict[tuple[int, ExtPoint], list[tuple[CellIndex, tuple[int, ...]]]] = {}
+    # Keyed by the run starts, which determine the characteristic point and
+    # sort in its order.  In cell order the neighbour below along each axis
+    # comes first, so a run start is that neighbour's when it has equal level.
+    groups: dict[tuple[int, tuple[int, ...]], list[CellIndex]] = {}
+    starts_of: dict[CellIndex, tuple[int, ...]] = {}
     for idx in F.cells():
         i = _level(F, idx)
         if i == 0:
             continue
-        starts = tuple(_run_start(F, idx, j) for j in range(F.n))
-        cp = tuple(_projection_value(F, j, starts[j]) for j in range(F.n))
-        groups.setdefault((i, cp), []).append((idx, starts))
+        starts = []
+        for j, r in enumerate(idx):
+            below = idx[:j] + (r - 1,) + idx[j + 1 :]
+            starts.append(starts_of[below][j] if r and _level(F, below) == i else r)
+        starts_of[idx] = starts = tuple(starts)
+        groups.setdefault((i, starts), []).append(idx)
 
     found: list[Block] = []
-    for (i, cp), members in sorted(
-        groups.items(), key=lambda kv: (kv[0][0], tuple(_ext_key(c) for c in kv[0][1]))
-    ):
-        cells = tuple(sorted(idx for idx, _ in members))
+    for (i, starts), members in sorted(groups.items()):
+        cp = tuple(_projection_value(F, j, starts[j]) for j in range(F.n))
+        cells = tuple(members)  # F.cells() runs in sorted order
         flags: list[str] = []
-        if any(not is_finite(c) for c in cp):
+        if 0 in starts:
             flags.append("minus_infinity_projection")
 
         # Landing level per axis: the level at the point with that coordinate
         # replaced by its projection.  Must be consistent across members and
         # strictly below the block level for well-behaved resolutions.
         landing: list[int | None] = []
-        adjoined = True
-        for j in range(F.n):
-            seen: set[int] = set()
-            for idx, starts in members:
-                r0 = starts[j]
-                if r0 == 0:
-                    adjoined = False
-                    continue
-                probe = idx[:j] + (r0 - 1,) + idx[j + 1 :]
-                seen.add(_level(F, probe))
-            if not seen:
+        adjoined = 0 not in starts
+        for j, r0 in enumerate(starts):
+            if r0 == 0:
                 landing.append(None)
                 continue
+            seen = {_level(F, idx[:j] + (r0 - 1,) + idx[j + 1 :]) for idx in cells}
             if len(seen) > 1:
                 flags.append(f"inconsistent_landing_axis_{j}")
                 landing.append(None)
@@ -253,10 +257,8 @@ def _blocks(F: StepResolution) -> list[Block]:
                 if lv >= i:
                     flags.append(f"landing_not_below_axis_{j}")
 
-        if all(is_finite(c) for c in cp):
-            cp_level = _level(F, F.cell_of_point(cp))
-        else:
-            cp_level = None
+        # The characteristic point is the upper corner of the cell below the starts.
+        cp_level = None if 0 in starts else _level(F, tuple(r - 1 for r in starts))
 
         inf: LexElement | None = None
         for idx in cells:
@@ -266,12 +268,11 @@ def _blocks(F: StepResolution) -> list[Block]:
             flags.append("infimum_outside_level")
             inf = None
 
-        region = Region(F.n, [F.cell_box(idx) for idx in cells])
         block = Block(
             level=i,
             char_point=cp,
             cells=cells,
-            region=region,
+            region=cell_region(F.breakpoints, cells),
             landing_levels=tuple(landing),
             char_point_level=cp_level,
             t0_adjoined=adjoined,
@@ -351,14 +352,15 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     # Adjoined characteristic points are breakpoint vectors of F, so the
     # candidate's resolution lives on F's own grid.
     induced = _induced_values(candidate, F.breakpoints)
+    values = _flat_values(F)
     for idx in F.cells():
-        if induced[idx] != F.values[idx]:
+        if induced[idx] != values[idx]:
             return MismatchReport(
                 candidate=candidate,
                 witness_point=F.cell_rep(idx),
                 witness_cell=str(F.cell_box(idx)),
                 value_f=F.values[idx],
-                value_candidate=induced[idx],
+                value_candidate=_element(F.signature, induced[idx]),
             )
     return candidate
 

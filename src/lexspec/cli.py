@@ -50,7 +50,6 @@ _INPUT_ERRORS = (
     ResolutionError,
     UnknownExampleError,
     RenderError,
-    json.JSONDecodeError,
     OSError,
 )
 
@@ -83,7 +82,12 @@ def _emit_doc(args, doc: dict) -> None:
 
 
 def load_document(path: str) -> tuple[str, DiscreteObservable | StepResolution]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge ints, deep nesting
+        raise ObservableError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ObservableError(f"{path}: the document must be a JSON object")
     kind = doc.get("kind")
     if kind is None:
         kind = "observable" if "atoms" in doc else "resolution"
@@ -224,7 +228,7 @@ def cmd_verify(args) -> int:
     config = TrialConfig(
         seed=args.seed,
         trials=args.trials,
-        k_range=(1, args.k) if args.k else (1, 6),
+        k_range=(1, 6 if args.k is None else args.k),
     )
     summary = run_suite(config)
     if args.json:
@@ -279,6 +283,18 @@ def cmd_example(args) -> int:
     return 0
 
 
+def _at_least(lo: int):
+    """argparse type: an integer >= ``lo``, else a usage error (exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexspec",
@@ -316,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomized theorem suite")
     add_common(p, needs_input=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--k", type=int, default=None, help="largest unit height to draw")
+    p.add_argument("--trials", type=_at_least(0), default=100)
+    p.add_argument("--k", type=_at_least(1), default=None, help="largest unit height to draw")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw the 2-D level map")
@@ -327,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="analyze a built-in example")
     p.add_argument("name", help=f"one of: {', '.join(example_names())}")
-    p.add_argument("--k", type=int, default=None, help="algebra height for patho/M")
+    p.add_argument("--k", type=_at_least(1), default=None, help="algebra height for patho/M")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.set_defaults(func=cmd_example)
 

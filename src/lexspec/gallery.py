@@ -66,18 +66,15 @@ def build_example(
         return "observable", build_observable(name), None
     if name == "3.7/9":
         return "resolution", mismatch_resolution(), NOTE_3_7_9
-    if name.startswith("saturate/"):
+    family, _, param = name.partition("/")
+    if family in ("saturate", "patho"):
         try:
-            kk = int(name.split("/", 1)[1])
-        except ValueError:
-            raise UnknownExampleError(f"bad saturate parameter in {name!r}") from None
-        return "observable", saturating_family(kk), None
-    if name.startswith("patho/"):
-        try:
-            m = int(name.split("/", 1)[1])
-        except ValueError:
-            raise UnknownExampleError(f"bad patho parameter in {name!r}") from None
-        return "resolution", pathological_family(m, k if k is not None else 2), None
+            m = int(param)
+            if family == "saturate":
+                return "observable", saturating_family(m), None
+            return "resolution", pathological_family(m, k if k is not None else 2), None
+        except ValueError as exc:  # a bad, nonpositive or oversized parameter
+            raise UnknownExampleError(f"bad {family} parameter in {name!r}: {exc}") from None
     raise UnknownExampleError(
         f"unknown example {name!r}; known: {', '.join(example_names())}"
     )

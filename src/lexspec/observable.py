@@ -85,10 +85,12 @@ def make_observable(
         if weight == signature.zero:
             raise ObservableError(f"zero weight at {p}")
         normalized.append(Atom(p, weight))
+    if not normalized:
+        raise ObservableError("an observable needs at least one atom")
     points = [a.point for a in normalized]
     if len(set(points)) != len(points):
         raise ObservableError("atom points must be pairwise distinct")
-    total = sum_finite([a.weight for a in normalized]) if normalized else None
+    total = sum_finite([a.weight for a in normalized])
     if total != signature.unit:
         raise ObservableError(
             f"weights must sum to the unit {signature.unit}, got {total}"

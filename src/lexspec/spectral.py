@@ -6,6 +6,12 @@ breakpoints b_1 < ... < b_m the cells are (-inf, b_1], (b_1, b_2], ...,
 continuous by construction.  Monotonicity, the boundary values, and the
 nonnegative-increment (volume) conditions are checkable facts, not type
 invariants, so pathological resolutions can be represented and studied.
+
+The grid kernel works on flat integer tuples ``(h, g_1, ..., g_d)``: each cell
+value is converted once, with one signature check, and prefix sums, first
+differences and comparisons are integer operations on those tuples.
+``LexElement`` objects are built only for what is returned (``F.values`` and
+witnesses).
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import accumulate, combinations, islice, product
 from math import prod
+from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .boxgeom import (
@@ -26,6 +33,7 @@ from .boxgeom import (
     RatPoint,
 )
 from .lexalg import (
+    AlgebraError,
     AlgebraSignature,
     LexElement,
     group_add,
@@ -39,6 +47,7 @@ from .observable import (
     _decode_int,
     _decode_rational,
     _encode_rational,
+    make_observable,
 )
 
 
@@ -47,6 +56,7 @@ class ResolutionError(ValueError):
 
 
 CellIndex = tuple[int, ...]
+Flat = tuple[int, ...]  # an element (h, g) as the flat tuple (h, g_1, ..., g_d)
 
 
 class StepResolution:
@@ -180,32 +190,57 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
         raise ResolutionError(
             f"dense grid of {cells} cells exceeds the limit of {MAX_DENSE_CELLS}"
         )
-    return StepResolution(x.signature, x.n, breaks, _induced_values(x, breaks))
+    values = _induced_values(x, breaks)
+    return StepResolution(
+        x.signature, x.n, breaks, {idx: _element(x.signature, t) for idx, t in values.items()}
+    )
+
+
+def _flat(v: LexElement, signature: AlgebraSignature) -> Flat:
+    if v.signature != signature:
+        raise AlgebraError(f"signature mismatch: {v.signature} vs {signature}")
+    return (v.h, *v.g)
+
+
+def _flat_values(F: StepResolution) -> dict[CellIndex, Flat]:
+    """The cell values of ``F`` as flat tuples, each checked against F's signature."""
+    return {idx: _flat(v, F.signature) for idx, v in F.values.items()}
+
+
+def _element(signature: AlgebraSignature, t: Flat) -> LexElement:
+    return LexElement(signature, t[0], t[1:])
+
+
+def _nonneg(t: Flat) -> bool:
+    """0 <= t in the lexicographic order."""
+    return t[0] > 0 or (t[0] == 0 and min(t) >= 0)
 
 
 def _induced_values(
     x: DiscreteObservable, breaks: Sequence[Sequence[Fraction]]
-) -> dict[CellIndex, LexElement]:
-    """Cell values of the resolution of ``x`` on a grid whose breakpoints
+) -> dict[CellIndex, Flat]:
+    """Flat cell values of the resolution of ``x`` on a grid whose breakpoints
     include every atom coordinate: each weight is placed at its rank vector,
     then prefix-summed along every axis."""
     shape = tuple(len(bs) for bs in breaks)
-    values = {idx: x.signature.zero for idx in product(*[range(m + 1) for m in shape])}
+    zero = _flat(x.signature.zero, x.signature)
+    values = dict.fromkeys(product(*[range(m + 1) for m in shape]), zero)
     for atom in x.atoms:
         rank = tuple(bisect_left(breaks[j], atom.point[j]) + 1 for j in range(x.n))
-        values[rank] = group_add(values[rank], atom.weight)
+        values[rank] = tuple(map(add, values[rank], _flat(atom.weight, x.signature)))
     _sweep(values, shape, range(x.n))
     return values
 
 
 def _sweep(
-    values: dict[CellIndex, LexElement],
+    values: dict[CellIndex, Flat],
     shape: Sequence[int],
     axes: Iterable[int],
     diff: bool = False,
 ) -> None:
-    """Prefix-sum a cell map in place along each of ``axes``; with ``diff``,
-    take first differences instead, reading cells below index 0 as zero.
+    """Prefix-sum a map of flat cell values in place along each of ``axes``;
+    with ``diff``, take first differences instead, reading cells below index 0
+    as zero.
 
     The two undo each other (Moebius inversion on a product of chains): a
     resolution is the prefix sum over all axes of its atomic masses, so every
@@ -216,12 +251,37 @@ def _sweep(
         rest = [range(m + 1) for j, m in enumerate(shape) if j != axis]
         for other in product(*rest):
             line = [other[:axis] + (r,) + other[axis:] for r in range(shape[axis] + 1)]
+            comps = zip(*[values[idx] for idx in line])
             if diff:
-                for r in range(len(line) - 1, 0, -1):
-                    values[line[r]] = group_sub(values[line[r]], values[line[r - 1]])
+                comps = [(c[0], *map(sub, c[1:], c)) for c in comps]
             else:
-                for r in range(1, len(line)):
-                    values[line[r]] = group_add(values[line[r]], values[line[r - 1]])
+                comps = map(accumulate, comps)
+            values.update(zip(line, zip(*comps)))
+
+
+def to_observable(F: StepResolution) -> DiscreteObservable:
+    """The observable whose resolution is ``F``: each nonzero atomic mass (a
+    first difference over all axes) placed at the lower breakpoint vector of
+    its cell.
+
+    A border cell (index 0 on some axis) with nonzero mass has no lower
+    breakpoint vector and raises :class:`ResolutionError`; masses outside
+    ``[0, u]`` or not summing to the unit raise :class:`ObservableError`.
+    """
+    masses = _flat_values(F)
+    _sweep(masses, F.shape, range(F.n), diff=True)
+    atoms = []
+    for idx, t in masses.items():
+        if not any(t):
+            continue
+        if 0 in idx:
+            raise ResolutionError(
+                f"border cell {idx} carries mass {_element(F.signature, t)}, "
+                "which no atom at a finite point gives"
+            )
+        point = tuple(F.breakpoints[j][r - 1] for j, r in enumerate(idx))
+        atoms.append((point, _element(F.signature, t)))
+    return make_observable(F.signature, F.n, atoms)
 
 
 def eval_F(F: StepResolution, point: Sequence[Fraction]) -> LexElement:
@@ -383,24 +443,32 @@ def check_axioms(F: StepResolution) -> AxiomReport:
       of axes with the remaining coordinates fixed anywhere on the grid.
     """
     report = AxiomReport()
-    zero = F.signature.zero
-    unit = F.signature.unit
+    sig = F.signature
     shape = F.shape
+    values = _flat_values(F)
+    zero = _flat(sig.zero, sig)
+    masses = dict(values)
+    _sweep(masses, shape, range(F.n), diff=True)
+    # Every difference of F along some axes is a sum of masses, so with all
+    # masses nonnegative, monotone and partial_delta_nonneg hold; their
+    # searches run only when a witness may exist.
+    masses_nonneg = all(map(_nonneg, masses.values()))
 
     mono = AxiomStatus(True)
-    for idx in F.cells():
-        v = F.values[idx]
+    for idx in () if masses_nonneg else F.cells():
+        v = values[idx]
         for j in range(F.n):
             if idx[j] == 0:
                 continue
             prev = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
-            if not F.values[prev] <= v:
+            p = values[prev]
+            if not (p[0] < v[0] or (p[0] == v[0] and all(map(le, p, v)))):
                 mono = AxiomStatus(
                     False,
                     witness={
                         "axis": j,
                         "lower": _cell_doc(F, prev) | {"value": str(F.values[prev])},
-                        "upper": _cell_doc(F, idx) | {"value": str(v)},
+                        "upper": _cell_doc(F, idx) | {"value": str(F.values[idx])},
                     },
                 )
                 break
@@ -410,7 +478,7 @@ def check_axioms(F: StepResolution) -> AxiomReport:
 
     bottom = AxiomStatus(True)
     for idx in F.cells():
-        if 0 in idx and F.values[idx] != zero:
+        if 0 in idx and values[idx] != zero:
             bottom = AxiomStatus(
                 False, witness=_cell_doc(F, idx) | {"value": str(F.values[idx])}
             )
@@ -418,7 +486,7 @@ def check_axioms(F: StepResolution) -> AxiomReport:
     report.statuses["bottom_zero"] = bottom
 
     top_idx = shape
-    top_ok = F.values[top_idx] == unit
+    top_ok = values[top_idx] == _flat(sig.unit, sig)
     report.statuses["top_unit"] = AxiomStatus(
         top_ok,
         witness=None if top_ok else _cell_doc(F, top_idx) | {"value": str(F.values[top_idx])},
@@ -428,12 +496,9 @@ def check_axioms(F: StepResolution) -> AxiomReport:
         True, note="holds by construction: cells are left open, right closed"
     )
 
-    masses = dict(F.values)
-    _sweep(masses, shape, range(F.n), diff=True)
-
     vol = AxiomStatus(True, note="checked on atomic boxes; additivity covers the rest")
     bad = next(
-        (idx for idx in product(*[range(1, m + 1) for m in shape]) if not zero <= masses[idx]),
+        (idx for idx in product(*[range(1, m + 1) for m in shape]) if not _nonneg(masses[idx])),
         None,
     )
     if bad is not None:
@@ -441,7 +506,7 @@ def check_axioms(F: StepResolution) -> AxiomReport:
             False,
             witness={
                 "box": [[str(a), str(b)] for a, b in _atomic_box(F, bad)],
-                "volume": str(masses[bad]),
+                "volume": str(_element(sig, masses[bad])),
             },
         )
     report.statuses["volume_nonneg"] = vol
@@ -452,15 +517,17 @@ def check_axioms(F: StepResolution) -> AxiomReport:
         )
     else:
         pd = AxiomStatus(True, note="checked on atomic boxes per axis subset")
-        found = next(
-            ((axes, idx, d) for axes, idx, d in _partial_deltas(masses, shape) if not zero <= d),
+        found = None if masses_nonneg else next(
+            ((axes, idx, d) for axes, idx, d in _partial_deltas(masses, shape) if not _nonneg(d)),
             None,
         )
         if found is not None:
             axes, idx, delta = found
             pd = AxiomStatus(
                 False,
-                witness={"axes": list(axes), "index": list(idx), "delta": str(delta)},
+                witness={
+                    "axes": list(axes), "index": list(idx), "delta": str(_element(sig, delta))
+                },
             )
         report.statuses["partial_delta_nonneg"] = pd
 
@@ -468,8 +535,8 @@ def check_axioms(F: StepResolution) -> AxiomReport:
 
 
 def _partial_deltas(
-    masses: dict[CellIndex, LexElement], shape: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], CellIndex, LexElement]]:
+    masses: dict[CellIndex, Flat], shape: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], CellIndex, Flat]]:
     """(axes, index, delta) for every proper nonempty axis subset, by size and
     then in ``combinations`` order: the difference of F along ``axes`` is the
     sum of the masses along the other axes."""

@@ -35,6 +35,8 @@ from .lexalg import (
 )
 from .observable import DiscreteObservable, make_observable
 from .spectral import (
+    MAX_DENSE_CELLS,
+    ResolutionError,
     StepResolution,
     from_cells,
     from_observable,
@@ -193,6 +195,14 @@ def random_observable(config: TrialConfig, index: int) -> DiscreteObservable:
     return make_observable(sig, n, [(draw_point(), sig.unit)])
 
 
+def _check_grid(m: int) -> None:
+    """Refuse a family whose (m+1) x (m+1) grid exceeds ``MAX_DENSE_CELLS``."""
+    if (m + 1) ** 2 > MAX_DENSE_CELLS:
+        raise ResolutionError(
+            f"dense grid of {(m + 1) ** 2} cells exceeds the limit of {MAX_DENSE_CELLS}"
+        )
+
+
 def saturating_family(k: int) -> DiscreteObservable:
     """k height-1 atoms on the antichain (1,k), (2,k-1), ..., (k,1).
 
@@ -201,6 +211,7 @@ def saturating_family(k: int) -> DiscreteObservable:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_grid(k)
     sig = AlgebraSignature(k, 1)
     one = LexElement(sig, 1, (0,))
     atoms = [((Fraction(j), Fraction(k + 1 - j)), one) for j in range(1, k + 1)]
@@ -226,6 +237,7 @@ def pathological_family(m: int, k: int, style: str = "antichain") -> StepResolut
         raise ValueError("m and k must be >= 1")
     if style not in ("antichain", "chain"):
         raise ValueError(f"unknown style {style!r}")
+    _check_grid(m)
     sig = AlgebraSignature(k, 1)
     breaks = [Fraction(v) for v in range(1, m + 1)]
     values: dict[tuple[int, int], LexElement] = {}

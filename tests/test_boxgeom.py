@@ -17,6 +17,7 @@ from lexspec.boxgeom import (
     Region,
     above,
     below,
+    cell_region,
     closed_open,
     complement,
     difference,
@@ -31,6 +32,8 @@ from lexspec.boxgeom import (
     region_equal,
     union,
 )
+from lexspec.lexalg import AlgebraSignature
+from lexspec.spectral import from_cells
 from lexspec.verify import SplitMix64
 
 
@@ -311,3 +314,28 @@ class TestText:
             parse_interval("[1,2,3)")
         with pytest.raises(GeometryError):
             parse_point("a,b")
+
+
+@st.composite
+def grid_cell_subsets(draw):
+    """A breakpoint grid in n = 1, 2, 3 and a random subset of its cells."""
+    n = draw(st.integers(1, 3))
+    axis = st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1, max_size=4, unique=True)
+    breakpoints = [sorted(draw(axis)) for _ in range(n)]
+    cells = list(product(*[range(len(bs) + 1) for bs in breakpoints]))
+    return breakpoints, draw(st.lists(st.sampled_from(cells), max_size=len(cells)))
+
+
+class TestCellRegion:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_cell_subsets())
+    def test_matches_the_union_of_cell_boxes(self, grid):
+        breakpoints, cells = grid
+        sig = AlgebraSignature(1, 1)
+        grid_F = from_cells(
+            sig, len(breakpoints), breakpoints,
+            {idx: sig.zero for idx in product(*[range(len(bs) + 1) for bs in breakpoints])},
+        )
+        want = Region(len(breakpoints), [grid_F.cell_box(idx) for idx in cells])
+        got = cell_region(grid_F.breakpoints, cells)
+        assert got.n == want.n and got.boxes == want.boxes

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -9,6 +11,7 @@ from lexspec.charpoints import (
     CharPointError,
     MismatchReport,
     NotReconstructibleError,
+    ReconstructionError,
     all_blocks,
     block_cube_check,
     blocks,
@@ -21,10 +24,16 @@ from lexspec.charpoints import (
     reconstruct,
 )
 from lexspec.gallery import build_observable
-from lexspec.lexalg import AlgebraSignature, LexElement
-from lexspec.observable import make_observable
-from lexspec.spectral import from_cells, from_observable
-from lexspec.verify import TrialConfig, mismatch_resolution, random_observable
+from lexspec.lexalg import AlgebraSignature, LexElement, in_unit_interval
+from lexspec.observable import make_observable, observable_to_doc
+from lexspec.spectral import check_axioms, from_cells, from_observable, resolution_to_doc
+from lexspec.verify import (
+    SplitMix64,
+    TrialConfig,
+    mismatch_resolution,
+    pathological_family,
+    random_observable,
+)
 
 from oracles import GALLERY_CHAR_POINTS, oracle_char_points
 
@@ -317,3 +326,64 @@ class TestPerfectCase:
         F = F_of("3.7/7")
         assert len(blocks(F, 1)) == 3
         assert blocks(F, 0) == ()
+
+
+def _overwritten(rng: SplitMix64, F):
+    """``F`` with one to three cells overwritten by random members of [0, u]."""
+    sig = F.signature
+    cells = list(F.cells())
+    values = dict(F.values)
+    for _ in range(rng.randint(1, 3)):
+        g = tuple(rng.randint(-3, 3) for _ in range(sig.d))
+        value = LexElement(sig, rng.randint(0, sig.k), g)
+        if in_unit_interval(value):
+            values[rng.choice(cells)] = value
+    return from_cells(sig, F.n, F.breakpoints, values)
+
+
+def _analysis_doc(F) -> dict:
+    try:
+        result = reconstruct(F)
+    except ReconstructionError as exc:
+        rebuilt = {"error": type(exc).__name__, "reason": str(exc)}
+    else:
+        if isinstance(result, MismatchReport):
+            rebuilt = result.to_doc() | {"candidate": observable_to_doc(result.candidate)}
+        else:
+            rebuilt = observable_to_doc(result)
+    return {
+        "axioms": check_axioms(F).to_doc(),
+        "levels": level_regions(F).to_doc(),
+        "blocks": all_blocks(F).to_doc(),
+        "reconstruct": rebuilt,
+    }
+
+
+def grid_transcript() -> list[str]:
+    """One JSON line per resolution: splitmix64 observables in n = 1, 2, 3,
+    the same resolutions with cells overwritten, and the pathological
+    families, each with its axioms, level regions, blocks and reconstruction."""
+    lines = []
+    rng = SplitMix64(2011)
+    for n in (1, 2, 3):
+        cfg = TrialConfig(seed=70 + n, trials=0, k_range=(1, 4), n_range=(n, n), max_atoms=8)
+        for i in range(40):
+            F = from_observable(random_observable(cfg, i))
+            lines.append(json.dumps(resolution_to_doc(F) | _analysis_doc(F), sort_keys=True))
+            lines.append(json.dumps(_analysis_doc(_overwritten(rng, F)), sort_keys=True))
+    for m in range(1, 7):
+        for k in (2, 3):
+            for style in ("antichain", "chain"):
+                F = pathological_family(m, k, style)
+                lines.append(json.dumps(_analysis_doc(F), sort_keys=True))
+    lines.append(json.dumps(_analysis_doc(mismatch_resolution()), sort_keys=True))
+    return lines
+
+
+class TestGridTranscript:
+    def test_outputs_are_pinned(self):
+        # pins every output of the grid layers (resolutions, axiom reports
+        # and witnesses, level regions, blocks, reconstructions) on genuine,
+        # overwritten and pathological resolutions
+        digest = hashlib.sha256("\n".join(grid_transcript()).encode()).hexdigest()
+        assert digest == "1d5370a28f2d8c60e19921b7aff3596d90fceb50050295bdf3d943260f48fd1e"

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import copy
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexspec.cli import main
 from lexspec.gallery import build_observable
 from lexspec.observable import observable_from_doc, observable_to_json
-from lexspec.spectral import from_observable, resolution_to_json
+from lexspec.spectral import MAX_DENSE_CELLS, from_observable, resolution_to_json
 from lexspec.verify import mismatch_resolution, pathological_family
 
 
@@ -259,3 +263,131 @@ class TestLoadDocument:
         path.write_text(resolution_to_json(F))
         assert main(["eval", "--input", str(path), "--point", "4,4"]) == 0
         assert capsys.readouterr().out == "(2; 0)\n"
+
+
+def _exit_code(argv) -> int:
+    """``main``'s return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestInputErrorsExitTwo:
+    @pytest.mark.parametrize("text", ["[1,2]", "null", "3", '"observable"'])
+    def test_non_object_document(self, tmp_path, capsys, text):
+        path = tmp_path / "root.json"
+        path.write_text(text)
+        assert main(["axioms", "--input", str(path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_non_utf8_document(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "observable", "note": "\xe9"}')
+        assert main(["axioms", "--input", str(path)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_oversized_integer_literal(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('{"k": ' + "9" * 5000 + "}")
+        assert main(["axioms", "--input", str(path)]) == 2
+
+    def test_deeply_nested_document(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["axioms", "--input", str(path)]) == 2
+
+    def test_observable_without_atoms(self, tmp_path, capsys):
+        # the unit of a huge declared d is never built
+        path = tmp_path / "empty.json"
+        doc = {"kind": "observable", "k": 1, "d": 10**12, "n": 1, "atoms": []}
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", "--input", str(path)]) == 2
+        assert "at least one atom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--trials", "-1"],
+            ["verify", "--k", "0"],
+            ["example", "patho/4", "--k", "0"],
+        ],
+    )
+    def test_out_of_range_options(self, capsys, argv):
+        assert _exit_code(argv) == 2
+        assert "must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["patho/0", "saturate/0", "patho/-3", "saturate/x"])
+    def test_bad_family_parameter(self, capsys, name):
+        assert main(["example", name]) == 2
+        assert "parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["patho/1024", "patho/1000000000", "saturate/1000000000"])
+    def test_oversized_family_refused_before_building(self, capsys, name):
+        start = time.perf_counter()
+        assert main(["example", name]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"exceeds the limit of {MAX_DENSE_CELLS}" in capsys.readouterr().err
+
+
+_VALID_DOCS = (
+    json.loads(observable_to_json(build_observable("3.7/1"))),
+    json.loads(resolution_to_json(from_observable(build_observable("3.7/7")))),
+    json.loads(resolution_to_json(pathological_family(3, 2))),
+)
+_FUZZED_COMMANDS = (
+    ["axioms"], ["regions"], ["charpoints"], ["reconstruct"], ["render"],
+    ["eval", "--point", "5/2,5/2"],
+)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.floats(-1e3, 1e3) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, doc) -> None:
+    """Drop or retype one entry at a random depth of ``doc``."""
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_json_values)
+        return
+
+
+@st.composite
+def damaged_documents(draw) -> bytes:
+    """Valid observable and resolution documents with keys dropped or values
+    retyped, non-object roots, and raw bytes."""
+    form = draw(st.sampled_from(["mutated", "root", "bytes"]))
+    if form == "bytes":
+        return draw(st.binary(max_size=80))
+    if form == "root":
+        return json.dumps(draw(_json_values.filter(lambda v: not isinstance(v, dict)))).encode()
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        if doc:
+            _mutate(draw, doc)
+    return json.dumps(doc).encode()
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(damaged_documents())
+    def test_damaged_input_never_escapes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_bytes(data)
+            out = str(Path(tmp) / "out.txt")
+            for command in _FUZZED_COMMANDS:
+                argv = [command[0], "--input", str(path), *command[1:], "--out", out]
+                assert main(argv) in (0, 1, 2)

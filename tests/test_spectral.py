@@ -7,12 +7,14 @@ from itertools import combinations, product
 import pytest
 
 from lexspec.gallery import build_observable
-from lexspec.lexalg import AlgebraSignature, LexElement, in_unit_interval
-from lexspec.observable import observable_from_doc
+from lexspec.lexalg import AlgebraError, AlgebraSignature, LexElement, in_unit_interval
+from lexspec.observable import ObservableError, observable_from_doc
 from lexspec.spectral import (
     MAX_DENSE_CELLS,
     ResolutionError,
     StepResolution,
+    _element,
+    _flat_values,
     _sweep,
     additive_extension,
     check_axioms,
@@ -25,6 +27,7 @@ from lexspec.spectral import (
     resolution_from_json,
     resolution_to_doc,
     resolution_to_json,
+    to_observable,
     volume,
 )
 from lexspec.verify import SplitMix64, TrialConfig, mismatch_resolution, random_observable
@@ -245,6 +248,17 @@ class TestCheckAxioms:
         status = check_axioms(F1).statuses["left_continuity"]
         assert status.ok and "construction" in status.note
 
+    @pytest.mark.parametrize("idx", [(0, 0), (2, 1), (3, 3)])
+    def test_foreign_signature_value_raises(self, F1, idx):
+        # from_cells refuses such a value; a resolution built directly can
+        # still carry one, and the grid kernel must not read it as a number
+        values = dict(F1.values)
+        v = values[idx]
+        values[idx] = LexElement(AlgebraSignature(5, 1), v.h, v.g)
+        F = StepResolution(F1.signature, F1.n, F1.breakpoints, values)
+        with pytest.raises(AlgebraError, match="signature mismatch"):
+            check_axioms(F)
+
 
 def _brute_force_box_volumes(F: StepResolution):
     """Oracle: volumes of every grid-aligned half-open box, by direct corner sums.
@@ -319,13 +333,13 @@ class TestVolumeReductionOracle:
             for name, status in statuses.items():
                 verdicts.setdefault(name, set()).add(status.ok)
             # the masses are the first differences; summing them back gives F
-            masses = dict(F.values)
+            masses = _flat_values(F)
             _sweep(masses, F.shape, range(F.n), diff=True)
             for idx in product(*[range(1, m + 1) for m in F.shape]):
                 lower = [F.breakpoints[j][r - 1] for j, r in enumerate(idx)]
-                assert masses[idx] == point_mass_via_deltas(F, lower)
+                assert _element(F.signature, masses[idx]) == point_mass_via_deltas(F, lower)
             _sweep(masses, F.shape, range(F.n))
-            assert masses == F.values
+            assert masses == _flat_values(F)
         checked = ["monotone", "bottom_zero", "top_unit", "volume_nonneg"]
         if n > 1:
             checked.append("partial_delta_nonneg")
@@ -423,6 +437,32 @@ _NON_INTEGER_EDITS = {
     "h-float": lambda doc: doc["cells"][-1]["value"].update(h=2.5),
     "g-string": lambda doc: doc["cells"][-1]["value"].update(g=["0"]),
 }
+
+
+class TestToObservable:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inverts_from_observable(self, n):
+        cfg = TrialConfig(seed=80 + n, trials=0, k_range=(1, 5), n_range=(n, n), max_atoms=8)
+        for i in range(40):
+            x = random_observable(cfg, i)
+            assert to_observable(from_observable(x)) == x
+
+    def test_border_mass_rejected(self):
+        # a nonzero bottom cell puts mass on the border, below every breakpoint
+        F = _random_table(SplitMix64(5))
+        values = dict(F.values)
+        values[(0, 1)] = el(0, 1)
+        with pytest.raises(ResolutionError, match=r"border cell \(0, 1\)"):
+            to_observable(from_cells(SIG, 2, F.breakpoints, values))
+
+    def test_negative_mass_rejected(self):
+        values = {idx: SIG.zero for idx in product(range(3), repeat=2)}
+        values[(2, 1)] = values[(1, 2)] = values[(2, 2)] = SIG.unit
+        # mass at (2, 2): u - u - u + 0 = -u
+        F = from_cells(SIG, 2, ((Q(1), Q(2)), (Q(1), Q(2))), values)
+        assert not check_axioms(F).ok
+        with pytest.raises(ObservableError, match="outside"):
+            to_observable(F)
 
 
 class TestJson:

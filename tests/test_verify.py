@@ -22,7 +22,7 @@ from lexspec.lexalg import (
     in_unit_interval,
     sum_finite,
 )
-from lexspec.spectral import check_axioms, from_cells, from_observable
+from lexspec.spectral import check_axioms, eval_F, from_cells, from_observable, to_observable
 from lexspec.verify import (
     SplitMix64,
     TrialConfig,
@@ -230,6 +230,19 @@ class TestVolumeImpliesBounds:
         if report.axioms.ok:
             target(float(len(report.char_points())), label="characteristic points")
             assert bounds_check(report).ok, report.to_doc()
+
+    # The same conditions make the masses an observable whose resolution is F.
+    # Its grid keeps only the breakpoints that carry mass, so the round trip is
+    # compared as a step function on F's cells, and literally when no
+    # breakpoint was dropped.
+    @settings(max_examples=200, deadline=None)
+    @given(mass_grid_resolutions())
+    def test_axioms_make_the_masses_an_observable(self, F):
+        if check_axioms(F).ok:
+            G = from_observable(to_observable(F))
+            assert all(eval_F(G, F.cell_rep(idx)) == v for idx, v in F.values.items())
+            if G.breakpoints == F.breakpoints:
+                assert G == F
 
 
 class TestMismatchResolution:
