@@ -233,12 +233,6 @@ def _merged_boxes(
     )
 
 
-def _ext_key(v: ExtRat) -> tuple[int, Fraction]:
-    if isinstance(v, _Infinity):
-        return (v.sign, Fraction(0))
-    return (0, v)
-
-
 class Region:
     """Finite union of boxes in canonical disjoint form."""
 
@@ -326,12 +320,6 @@ def complement(r: Region) -> Region:
     return difference(Region.full(r.n), r)
 
 
-def region_equal(r1: Region, r2: Region) -> bool:
-    if r1.n != r2.n:
-        raise GeometryError(f"dimension mismatch: {r1.n} vs {r2.n}")
-    return r1 == r2
-
-
 def lower_orthant(point: Sequence) -> Region:
     """The open lower orthant prod_j (-inf, p_j)."""
     dims = tuple(below(Fraction(p)) for p in point)
@@ -386,6 +374,10 @@ _INTERVAL_RE = re.compile(
 
 
 def parse_rational(text: str) -> Fraction:
+    """An integer, ``p/q`` or decimal; exponent notation is refused, because
+    ``Fraction`` would build the power of ten (``1e10000000`` takes seconds)."""
+    if "e" in text.lower():
+        raise GeometryError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -5,10 +5,12 @@ For a step resolution ``F`` the level set ``T_i`` collects the points where
 axis ``j`` is the infimum of the contiguous run of axis-``j`` cells around it
 that stays in ``T_i``; the vector of projections is the characteristic point,
 and cells sharing one characteristic point form a block.  Everything here is
-exact cell-index arithmetic: for step functions the infima are breakpoints
-(or -inf, which only pathological resolutions produce and which is flagged).
-Level and block regions are built straight from their cell indices by
-:func:`boxgeom.cell_region`, without a box per cell.
+exact cell-index arithmetic: for step functions the infima are breakpoints,
+indexed by the run starts (start 0 stands for -inf, which only pathological
+resolutions produce and which is flagged).  A block is a cell-index record on
+its grid; its characteristic point is read off the breakpoints, and its region
+is built by :func:`boxgeom.cell_region` on each access, without a box per
+cell.
 """
 
 from __future__ import annotations
@@ -18,16 +20,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .boxgeom import (
-    NEG_INF,
-    ExtRat,
-    Region,
-    _ext_key,
-    cell_region,
-    format_rational,
-    is_finite,
-)
-from .lexalg import LexElement, group_add, meet
+from .boxgeom import NEG_INF, ExtRat, Region, cell_region, format_rational, is_finite
+from .lexalg import LexElement, group_add
 from .observable import DiscreteObservable, ObservableError, make_observable
 from .spectral import (
     AxiomReport,
@@ -52,10 +46,6 @@ class NotReconstructibleError(ReconstructionError):
     """Adjoined block infima do not sum to the unit."""
 
 
-class PathologicalResolutionError(ReconstructionError):
-    """A block infimum was undefined; only synthetic resolutions reach this."""
-
-
 ExtPoint = tuple[ExtRat, ...]
 
 
@@ -76,18 +66,17 @@ def _run_start(F: StepResolution, idx: CellIndex, axis: int) -> int:
     return r
 
 
-def _projection_value(F: StepResolution, axis: int, run_start: int) -> ExtRat:
-    return F.breakpoints[axis][run_start - 1] if run_start >= 1 else NEG_INF
+def _point(breakpoints: Sequence[Sequence[Fraction]], starts: Sequence[int]) -> ExtPoint:
+    """The breakpoint below each run start; start 0 stands for -inf."""
+    return tuple(bs[r - 1] if r else NEG_INF for bs, r in zip(breakpoints, starts))
 
 
 def projection(F: StepResolution, point: Sequence[Fraction], axis: int) -> ExtRat:
     """Infimum of the axis run of the level set through ``point``."""
-    idx = F.cell_of_point(point)
-    if _level(F, idx) == 0:
-        raise CharPointError(f"point {point} lies in the level-0 set; no projection")
+    cp = char_point(F, point)
     if not 0 <= axis < F.n:
         raise CharPointError(f"axis {axis} out of range for dimension {F.n}")
-    return _projection_value(F, axis, _run_start(F, idx, axis))
+    return cp[axis]
 
 
 def char_point(F: StepResolution, point: Sequence[Fraction]) -> ExtPoint:
@@ -95,9 +84,7 @@ def char_point(F: StepResolution, point: Sequence[Fraction]) -> ExtPoint:
     idx = F.cell_of_point(point)
     if _level(F, idx) == 0:
         raise CharPointError(f"point {point} lies in the level-0 set; no projection")
-    return tuple(
-        _projection_value(F, j, _run_start(F, idx, j)) for j in range(F.n)
-    )
+    return _point(F.breakpoints, [_run_start(F, idx, j) for j in range(F.n)])
 
 
 def format_ext_point(p: ExtPoint) -> str:
@@ -106,17 +93,31 @@ def format_ext_point(p: ExtPoint) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Block:
-    """A maximal set of same-level cells sharing one characteristic point."""
+    """A maximal set of same-level cells sharing one characteristic point.
+
+    A cell-index record on the grid ``breakpoints``: ``starts`` is the members'
+    run-start vector and ``cells`` the members in cell order.  The
+    characteristic point is read off the breakpoints; the region is built from
+    the cells on each access, so callers that never read it pay nothing.
+    """
 
     level: int
-    char_point: ExtPoint
+    starts: tuple[int, ...]
     cells: tuple[CellIndex, ...]
-    region: Region
+    breakpoints: tuple[tuple[Fraction, ...], ...]
     landing_levels: tuple[int | None, ...]
     char_point_level: int | None
     t0_adjoined: bool
-    infimum: LexElement | None
+    infimum: LexElement
     flags: tuple[str, ...]
+
+    @property
+    def char_point(self) -> ExtPoint:
+        return _point(self.breakpoints, self.starts)
+
+    @property
+    def region(self) -> Region:
+        return cell_region(self.breakpoints, self.cells)
 
     def to_doc(self) -> dict:
         return {
@@ -128,7 +129,7 @@ class Block:
             "landing_levels": list(self.landing_levels),
             "char_point_level": self.char_point_level,
             "t0_adjoined": self.t0_adjoined,
-            "infimum": None if self.infimum is None else str(self.infimum),
+            "infimum": str(self.infimum),
             "flags": list(self.flags),
         }
 
@@ -150,21 +151,26 @@ class LevelDecomposition:
 
 @dataclass(frozen=True, slots=True)
 class BlockReport:
-    """All blocks of a resolution, grouped by level."""
+    """All blocks of a resolution, grouped by level.
+
+    ``point_starts`` are the blocks' distinct run-start vectors, sorted; they
+    order exactly like the characteristic points ``points`` they index.
+    """
 
     k: int
     n: int
     levels: dict[int, tuple[Block, ...]]
     axioms: AxiomReport
     pathological: bool
+    point_starts: list[tuple[int, ...]]
+    points: list[ExtPoint]
 
     def all_blocks(self) -> list[Block]:
         return [b for i in sorted(self.levels) for b in self.levels[i]]
 
     def char_points(self) -> list[ExtPoint]:
         """Distinct characteristic points across all levels, sorted."""
-        pts = {b.char_point for b in self.all_blocks()}
-        return sorted(pts, key=lambda p: tuple(_ext_key(c) for c in p))
+        return self.points
 
     def level_counts(self) -> dict[int, int]:
         return {i: len(bs) for i, bs in sorted(self.levels.items())}
@@ -178,7 +184,7 @@ class BlockReport:
             "levels": {
                 str(i): [b.to_doc() for b in bs] for i, bs in sorted(self.levels.items())
             },
-            "char_points": [format_ext_point(p) for p in self.char_points()],
+            "char_points": [format_ext_point(p) for p in self.points],
             "counts": {str(i): len(bs) for i, bs in sorted(self.levels.items())},
         }
 
@@ -200,17 +206,20 @@ def all_blocks(F: StepResolution) -> BlockReport:
     levels: dict[int, list[Block]] = {}
     for block in found:
         levels.setdefault(block.level, []).append(block)
+    point_starts = sorted({b.starts for b in found})
     return BlockReport(
         k=F.signature.k,
         n=F.n,
         levels={i: tuple(bs) for i, bs in levels.items()},
         axioms=axioms,
         pathological=(not axioms.ok) or any(b.flags for b in found),
+        point_starts=point_starts,
+        points=[_point(F.breakpoints, r) for r in point_starts],
     )
 
 
 def _blocks(F: StepResolution) -> list[Block]:
-    """Every block, by level and then characteristic point; no axiom check."""
+    """Every block, by level and then run starts; no axiom check."""
     # Keyed by the run starts, which determine the characteristic point and
     # sort in its order.  In cell order the neighbour below along each axis
     # comes first, so a run start is that neighbour's when it has equal level.
@@ -229,7 +238,6 @@ def _blocks(F: StepResolution) -> list[Block]:
 
     found: list[Block] = []
     for (i, starts), members in sorted(groups.items()):
-        cp = tuple(_projection_value(F, j, starts[j]) for j in range(F.n))
         cells = tuple(members)  # F.cells() runs in sorted order
         flags: list[str] = []
         if 0 in starts:
@@ -260,26 +268,12 @@ def _blocks(F: StepResolution) -> list[Block]:
         # The characteristic point is the upper corner of the cell below the starts.
         cp_level = None if 0 in starts else _level(F, tuple(r - 1 for r in starts))
 
-        inf: LexElement | None = None
-        for idx in cells:
-            v = F.values[idx]
-            inf = v if inf is None else meet(inf, v)
-        if inf is not None and inf.h != i:
-            flags.append("infimum_outside_level")
-            inf = None
-
-        block = Block(
-            level=i,
-            char_point=cp,
-            cells=cells,
-            region=cell_region(F.breakpoints, cells),
-            landing_levels=tuple(landing),
-            char_point_level=cp_level,
-            t0_adjoined=adjoined,
-            infimum=inf,
-            flags=tuple(flags),
-        )
-        found.append(block)
+        # Every member has height i, so the meet is the componentwise minimum.
+        g = tuple(map(min, zip(*(F.values[idx].g for idx in cells))))
+        infimum = LexElement(F.signature, i, g)
+        found.append(Block(
+            i, starts, cells, F.breakpoints, tuple(landing), cp_level, adjoined, infimum, tuple(flags)
+        ))
     return found
 
 
@@ -318,23 +312,12 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     against ``F``.  A verified match returns the observable; a failed
     verification returns a :class:`MismatchReport` naming the first differing
     cell.  Infima that do not sum to the unit raise
-    :class:`NotReconstructibleError`; undefined infima raise
-    :class:`PathologicalResolutionError`.
+    :class:`NotReconstructibleError`.  Adjoined blocks have every run start
+    >= 1, so their characteristic points are finite.
     """
     adjoined = [b for b in _blocks(F) if b.t0_adjoined]
-    weights: list[LexElement] = []
-    points: list[tuple[Fraction, ...]] = []
-    for b in adjoined:
-        if b.infimum is None:
-            raise PathologicalResolutionError(
-                f"block at {format_ext_point(b.char_point)} has an undefined infimum"
-            )
-        if any(not is_finite(c) for c in b.char_point):
-            raise PathologicalResolutionError(
-                f"adjoined block with infinite characteristic point {format_ext_point(b.char_point)}"
-            )
-        weights.append(b.infimum)
-        points.append(tuple(b.char_point))
+    weights = [b.infimum for b in adjoined]
+    points = [b.char_point for b in adjoined]
     total = F.signature.zero
     for w in weights:
         total = group_add(total, w)
@@ -395,15 +378,13 @@ class BoundsCheck:
         }
 
 
-def bounds_check(report: BlockReport, k: int | None = None) -> BoundsCheck:
+def bounds_check(report: BlockReport) -> BoundsCheck:
     """Check count <= min(k, k-i+1) per level and <= k(k+1)/2 in total."""
-    if k is None:
-        k = report.k
+    k = report.k
     per_level = tuple(
         (i, len(report.levels.get(i, ())), min(k, k - i + 1)) for i in range(1, k + 1)
     )
-    total = len(report.char_points())
-    return BoundsCheck(per_level, total, k * (k + 1) // 2)
+    return BoundsCheck(per_level, len(report.points), k * (k + 1) // 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -475,16 +456,17 @@ def max_antichain(report: BlockReport) -> int | None:
     """
     if report.n != 2:
         return None
-    pts = report.char_points()
+    # Run starts order like the points: sorted by (x asc, y asc), an antichain
+    # is strictly x-increasing and y-decreasing, so a quadratic pass suffices
+    # at these sizes.
+    pts = report.point_starts
     if not pts:
         return 0
-    # sorted by (x asc, y asc); an antichain is strictly x-increasing and
-    # y-decreasing, so a quadratic pass suffices at these sizes
     best = [1] * len(pts)
     for i, (xi, yi) in enumerate(pts):
         for j in range(i):
             xj, yj = pts[j]
-            if _ext_key(xj) < _ext_key(xi) and _ext_key(yj) > _ext_key(yi):
+            if xj < xi and yj > yi:
                 best[i] = max(best[i], best[j] + 1)
     return max(best)
 
@@ -493,20 +475,10 @@ def block_cube_check(F: StepResolution, report: BlockReport) -> tuple[bool, dict
     """Every grid cell strictly above a block's characteristic point and below
     some member belongs to the block."""
     for block in report.all_blocks():
-        lows = []
-        for j, c in enumerate(block.char_point):
-            if not is_finite(c):
-                lows.append(0)
-            else:
-                lows.append(F.breakpoints[j].index(c) + 1)
         members = set(block.cells)
         highs = [max(idx[j] for idx in members) for j in range(F.n)]
-        box = list(product(*[range(lows[j], highs[j] + 1) for j in range(F.n)]))
-        dominated = {
-            c: any(all(mi >= ci for mi, ci in zip(m, c)) for m in members) for c in box
-        }
-        for c in box:
-            if dominated[c] and c not in members:
+        for c in product(*[range(lo, hi + 1) for lo, hi in zip(block.starts, highs)]):
+            if c not in members and any(all(mi >= ci for mi, ci in zip(m, c)) for m in members):
                 return False, {
                     "block_char_point": format_ext_point(block.char_point),
                     "level": block.level,

@@ -143,11 +143,10 @@ def _describe_blocks(report) -> str:
     lines = []
     for i in sorted(report.levels):
         for b in report.levels[i]:
-            inf = "undefined" if b.infimum is None else format_element(b.infimum)
             adj = "T0-adjoined" if b.t0_adjoined else "not adjoined"
             lines.append(
                 f"level {i}  char {format_ext_point(b.char_point)}  "
-                f"region {b.region}  infimum {inf}  {adj}"
+                f"region {b.region}  infimum {format_element(b.infimum)}  {adj}"
                 + (f"  flags: {', '.join(b.flags)}" if b.flags else "")
             )
     pts = report.char_points()
@@ -203,25 +202,24 @@ def cmd_reconstruct(args) -> int:
         if args.json:
             _emit_doc(args, result.to_doc())
         else:
-            _emit(
-                args,
-                _bad("mismatch")
-                + f": cell {result.witness_cell} has value {format_element(result.value_f)} "
-                f"but the induced observable gives {format_element(result.value_candidate)}\n",
-            )
+            _emit(args, _bad("mismatch") + f": {_mismatch_text(result)}\n")
         return 1
     if args.json:
         _emit_doc(args, observable_to_doc(result))
     else:
-        lines = [f"  {_format_atom_point(a.point)} -> {format_element(a.weight)}" for a in result.atoms]
-        _emit(args, "reconstructed atoms:\n" + "\n".join(lines) + "\n")
+        _emit(args, "reconstructed atoms:\n" + "\n".join(_describe_atoms(result)) + "\n")
     return 0
 
 
-def _format_atom_point(point) -> str:
-    from .boxgeom import format_rational
+def _describe_atoms(x: DiscreteObservable) -> list[str]:
+    return [f"  {format_ext_point(a.point)} -> {format_element(a.weight)}" for a in x.atoms]
 
-    return "(" + ", ".join(format_rational(c) for c in point) + ")"
+
+def _mismatch_text(result: MismatchReport) -> str:
+    return (
+        f"cell {result.witness_cell} has value {format_element(result.value_f)} "
+        f"but the induced observable gives {format_element(result.value_candidate)}"
+    )
 
 
 def cmd_verify(args) -> int:
@@ -258,9 +256,7 @@ def cmd_example(args) -> int:
     F = _as_resolution(kind, obj)
     if kind == "observable":
         out.append(f"atoms (k={obj.signature.k}, d={obj.signature.d}, n={obj.n}):")
-        out += [
-            f"  {_format_atom_point(a.point)} -> {format_element(a.weight)}" for a in obj.atoms
-        ]
+        out += _describe_atoms(obj)
     decomp = level_regions(F)
     out += [f"T_{i} = {r}" for i, r in sorted(decomp.regions.items())]
     report = all_blocks(F)
@@ -272,11 +268,7 @@ def cmd_example(args) -> int:
             out.append(f"reconstruction: {exc}")
         else:
             if isinstance(result, MismatchReport):
-                out.append(
-                    "reconstruction mismatch: cell "
-                    f"{result.witness_cell} has value {format_element(result.value_f)} "
-                    f"but the induced observable gives {format_element(result.value_candidate)}"
-                )
+                out.append(f"reconstruction mismatch: {_mismatch_text(result)}")
             else:
                 out.append("reconstruction: round-trip succeeded")
     _emit(args, "\n".join(out) + "\n")

@@ -136,11 +136,6 @@ def join(a: LexElement, b: LexElement) -> LexElement:
     return LexElement(sig, a.h, tuple(max(x, y) for x, y in zip(a.g, b.g)))
 
 
-def height_class(a: LexElement) -> int:
-    """Stratum index of ``a``: the height coordinate."""
-    return a.h
-
-
 def in_unit_interval(a: LexElement) -> bool:
     """Membership in ``[0, u]``: 0 <= h <= k, with sign constraints at the ends."""
     k = a.signature.k
@@ -170,11 +165,6 @@ def mv_neg(a: LexElement) -> LexElement:
     """MV negation: u - a."""
     _require_member(a)
     return group_sub(a.signature.unit, a)
-
-
-def mv_odot(a: LexElement, b: LexElement) -> LexElement:
-    """MV product: (a' oplus b')'."""
-    return mv_neg(mv_oplus(mv_neg(a), mv_neg(b)))
 
 
 def partial_add(a: LexElement, b: LexElement) -> LexElement | None:

@@ -2,7 +2,9 @@
 
 Imported by tests/test_acceptance.py and tests/test_charpoints.py so that the
 gallery's characteristic-point table and its brute-force oracle exist once,
-and by tests/test_spectral.py for the corner-sum reference of the grid kernel.
+by tests/test_spectral.py for the corner-sum reference of the grid kernel,
+and by tests/test_lexalg.py and tests/test_boxgeom.py for small helpers that
+only tests use.
 """
 
 from __future__ import annotations
@@ -10,7 +12,25 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import combinations, product
 
+from lexspec.boxgeom import GeometryError, Region
+from lexspec.lexalg import LexElement, mv_neg, mv_oplus
 from lexspec.spectral import partial_delta, volume
+
+
+def height_class(a: LexElement) -> int:
+    """Stratum index of ``a``: the height coordinate."""
+    return a.h
+
+
+def mv_odot(a: LexElement, b: LexElement) -> LexElement:
+    """MV product: (a' oplus b')'."""
+    return mv_neg(mv_oplus(mv_neg(a), mv_neg(b)))
+
+
+def region_equal(r1: Region, r2: Region) -> bool:
+    if r1.n != r2.n:
+        raise GeometryError(f"dimension mismatch: {r1.n} vs {r2.n}")
+    return r1 == r2
 
 
 # Characteristic points per gallery case.  Every nonempty level set T_i,

@@ -3,10 +3,12 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction as Q
+from functools import reduce
+from itertools import product
 
 import pytest
 
-from lexspec.boxgeom import Box, Region, above, open_closed
+from lexspec.boxgeom import Box, Region, above, is_finite, open_closed
 from lexspec.charpoints import (
     CharPointError,
     MismatchReport,
@@ -24,7 +26,7 @@ from lexspec.charpoints import (
     reconstruct,
 )
 from lexspec.gallery import build_observable
-from lexspec.lexalg import AlgebraSignature, LexElement, in_unit_interval
+from lexspec.lexalg import AlgebraSignature, LexElement, in_unit_interval, meet
 from lexspec.observable import make_observable, observable_to_doc
 from lexspec.spectral import check_axioms, from_cells, from_observable, resolution_to_doc
 from lexspec.verify import (
@@ -387,3 +389,93 @@ class TestGridTranscript:
         # overwritten and pathological resolutions
         digest = hashlib.sha256("\n".join(grid_transcript()).encode()).hexdigest()
         assert digest == "1d5370a28f2d8c60e19921b7aff3596d90fceb50050295bdf3d943260f48fd1e"
+
+
+def _transcript_resolutions():
+    """The overwritten and pathological resolutions of ``grid_transcript``."""
+    rng = SplitMix64(2011)
+    for n in (1, 2, 3):
+        cfg = TrialConfig(seed=70 + n, trials=0, k_range=(1, 4), n_range=(n, n), max_atoms=8)
+        for i in range(40):
+            yield _overwritten(rng, from_observable(random_observable(cfg, i)))
+    for m in range(1, 7):
+        for k in (2, 3):
+            for style in ("antichain", "chain"):
+                yield pathological_family(m, k, style)
+    yield mismatch_resolution()
+
+
+def _random_level_tables(count: int):
+    """``from_cells`` resolutions with an independent random member of [0, u]
+    on every cell: no monotonicity, so -inf starts and every flag occur."""
+    rng = SplitMix64(4711)
+    for _ in range(count):
+        sig = AlgebraSignature(rng.randint(1, 4), rng.randint(1, 2))
+        n = rng.randint(1, 3)
+        breakpoints = [[Q(b) for b in range(rng.randint(1, 4 - n // 2))] for _ in range(n)]
+        values = {}
+        for idx in product(*[range(len(bs) + 1) for bs in breakpoints]):
+            h = rng.randint(0, sig.k)
+            lo, hi = (0 if h == 0 else -3), (0 if h == sig.k else 3)
+            values[idx] = LexElement(sig, h, tuple(rng.randint(lo, hi) for _ in range(sig.d)))
+        yield from_cells(sig, n, breakpoints, values)
+
+
+def _cell_starts(F, p):
+    """Run-start vector of a characteristic point, read through ``breakpoints.index``."""
+    return tuple(
+        F.breakpoints[j].index(c) + 1 if is_finite(c) else 0 for j, c in enumerate(p)
+    )
+
+
+def _cube_oracle(F, report):
+    for block in report.all_blocks():
+        lows = _cell_starts(F, block.char_point)
+        highs = [max(idx[j] for idx in block.cells) for j in range(F.n)]
+        for c in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
+            dominated = any(all(m >= x for m, x in zip(idx, c)) for idx in block.cells)
+            if dominated and c not in block.cells:
+                return False, list(c)
+    return True, None
+
+
+def _antichain_oracle(F, report):
+    if F.n != 2:
+        return None
+    pts = sorted(_cell_starts(F, p) for p in report.char_points())
+    best = []
+    for i, (x, y) in enumerate(pts):
+        below = [best[j] for j, (u, v) in enumerate(pts[:i]) if u < x and v > y]
+        best.append(1 + max(below, default=0))
+    return max(best, default=0)
+
+
+def _ext_sort_key(p):
+    return tuple((-1, Q(0)) if not is_finite(c) else (0, c) for c in p)
+
+
+class TestBlockRecords:
+    """What the removed pathology branches guarded, on resolutions that are
+    overwritten, pathological or arbitrary level tables."""
+
+    @pytest.mark.parametrize("source", ["transcript", "level_tables"])
+    def test_blocks_on_synthetic_resolutions(self, source):
+        resolutions = (
+            _transcript_resolutions() if source == "transcript" else _random_level_tables(150)
+        )
+        flagged = 0
+        for F in resolutions:
+            report = all_blocks(F)
+            found = report.all_blocks()
+            for b in found:
+                assert b.infimum.h == b.level
+                assert b.infimum == reduce(meet, (F.values[idx] for idx in b.cells))
+                if b.t0_adjoined:
+                    assert all(is_finite(c) for c in b.char_point)
+                flagged += bool(b.flags)
+            points = sorted({b.char_point for b in found}, key=_ext_sort_key)
+            assert report.char_points() == points
+            ok, witness = block_cube_check(F, report)
+            assert (ok, witness and witness["cell"]) == _cube_oracle(F, report)
+            assert max_antichain(report) == _antichain_oracle(F, report)
+        assert flagged > 0

