@@ -14,9 +14,10 @@ and build intervals only for the final runs.  The boolean operations pick
 atomic cells on the common grid of both operands and canonicalize those.  The
 result is deterministic; compactness is not a goal.
 
-Cells of a left-open right-closed breakpoint grid map to pieces directly
-(:func:`cell_region`): on an axis with m breakpoints, cell r covers the
-pieces 2r .. min(2r+1, 2m), so such regions skip the ranking step.
+Regions on a left-open right-closed breakpoint grid (:func:`cell_region`)
+merge the grid cells themselves: on an axis with m breakpoints, the run of
+cells r0 .. r1 is the run of pieces 2r0 .. min(2r1+1, 2m), a map strictly
+increasing in both ends, so the boxes and their order are the piece-level ones.
 """
 
 from __future__ import annotations
@@ -199,37 +200,42 @@ def _run_interval(vals: Sequence[Fraction], lo: int, hi: int) -> Interval:
     return Interval(lo_end, lo % 2 == 1, hi_end, hi % 2 == 1)
 
 
-def _merged_boxes(
-    values: Sequence[Sequence[Fraction]], cells: Iterable[tuple[int, ...]]
-) -> tuple[Box, ...]:
-    """Canonical boxes of a set of atomic cells: merge maximal runs of
-    adjacent pieces along axis n-1, then n-2, and so on down to axis 0.
+def _merged_runs(n: int, cells: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Sorted canonical runs of a set of integer cells: merge maximal runs of
+    adjacent indices along axis n-1, then n-2, and so on down to axis 0.
 
     Before axis j is merged, a cell is the flat tuple (p_0, ..., p_j, lo_{j+1},
-    hi_{j+1}, ..., lo_{n-1}, hi_{n-1}): single pieces up to axis j, runs above
+    hi_{j+1}, ..., lo_{n-1}, hi_{n-1}): single indices up to axis j, runs above
     it.  Merging turns p_j into lo_j, hi_j, so at the end every cell is a run
     (lo_0, hi_0, ..., lo_{n-1}, hi_{n-1}) and their integer order is the box
-    order.
+    order.  ``cells`` must hold no duplicates.
     """
     runs = cells
-    for axis in range(len(values) - 1, -1, -1):
+    for axis in range(n - 1, -1, -1):
         groups: dict[tuple[int, ...], list[int]] = {}
         for cell in runs:
             groups.setdefault(cell[:axis] + cell[axis + 1:], []).append(cell[axis])
         runs = []
-        for rest, pieces in groups.items():
-            pieces.sort()
+        for rest, indices in groups.items():
+            indices.sort()
             head, tail = rest[:axis], rest[axis:]
-            start = prev = pieces[0]
-            for p in pieces[1:]:
+            start = prev = indices[0]
+            for p in indices[1:]:
                 if p != prev + 1:
                     runs.append(head + (start, prev) + tail)
                     start = p
                 prev = p
             runs.append(head + (start, prev) + tail)
+    return sorted(runs)
+
+
+def _merged_boxes(
+    values: Sequence[Sequence[Fraction]], cells: Iterable[tuple[int, ...]]
+) -> tuple[Box, ...]:
+    """Canonical boxes of a set of atomic cells (tuples of piece indices)."""
     return tuple(
         Box(tuple(_run_interval(vals, *run[2 * j:2 * j + 2]) for j, vals in enumerate(values)))
-        for run in sorted(runs)
+        for run in _merged_runs(len(values), cells)
     )
 
 
@@ -281,15 +287,15 @@ def cell_region(
 ) -> Region:
     """Union of cells of the grid on ``breakpoints`` (strictly increasing per
     axis), where cell r of an axis is (b_{r-1}, b_r] with b_{-1} = -inf and
-    b_m = +inf: its pieces are 2r and, below the top cell, the point 2r+1."""
-    tops = [2 * len(bs) for bs in breakpoints]
-    atoms: set[tuple[int, ...]] = set()
-    for idx in cells:
-        ranges = [range(2 * r, min(2 * r + 2, top + 1)) for r, top in zip(idx, tops)]
-        atoms.update(product(*ranges))
+    b_m = +inf.  The cells are merged on the grid, and each run of cells r0 .. r1
+    becomes the run of pieces 2r0 .. min(2r1+1, 2m)."""
     region = object.__new__(Region)
     region.n = len(breakpoints)
-    region.boxes = _merged_boxes(breakpoints, atoms)
+    region.boxes = tuple(
+        Box(tuple(_run_interval(bs, 2 * run[2 * j], min(2 * run[2 * j + 1] + 1, 2 * len(bs)))
+                  for j, bs in enumerate(breakpoints)))
+        for run in _merged_runs(region.n, set(cells))
+    )
     return region
 
 

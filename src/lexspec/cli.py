@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .boxgeom import GeometryError, parse_point
@@ -287,6 +288,7 @@ def _at_least(lo: int):
     return integer
 
 
+@cache  # built once per process; parse_args returns a fresh Namespace per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lexspec",

@@ -109,12 +109,13 @@ def render_svg(F: StepResolution) -> str:
     plot_h = _SVG_H - _LEGEND_H
     sx = (_SVG_W - 2 * _MARGIN) / float(xmax - xmin)
     sy = (plot_h - 2 * _MARGIN) / float(ymax - ymin)
+    fxmin, fymin = float(xmin), float(ymin)
 
     def px(x: Fraction) -> float:
-        return _MARGIN + (float(x) - float(xmin)) * sx
+        return _MARGIN + (float(x) - fxmin) * sx
 
     def py(y: Fraction) -> float:
-        return plot_h - _MARGIN - (float(y) - float(ymin)) * sy
+        return plot_h - _MARGIN - (float(y) - fymin) * sy
 
     def clip(v, lo, hi):
         return min(max(v, lo), hi)

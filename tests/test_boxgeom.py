@@ -31,9 +31,10 @@ from lexspec.boxgeom import (
     parse_region,
     union,
 )
-from lexspec.lexalg import AlgebraSignature
-from lexspec.spectral import from_cells
-from lexspec.verify import SplitMix64
+from lexspec.charpoints import level_regions
+from lexspec.lexalg import AlgebraSignature, LexElement
+from lexspec.spectral import from_cells, from_observable
+from lexspec.verify import SplitMix64, TrialConfig, random_observable
 
 from oracles import region_equal
 
@@ -327,6 +328,43 @@ def grid_cell_subsets(draw):
     return breakpoints, draw(st.lists(st.sampled_from(cells), max_size=len(cells)))
 
 
+@st.composite
+def grid_cell_draws(draw):
+    """A breakpoint grid in n = 1..4 and cells on it that repeat some cells and
+    hit the top cell (index m) of every axis."""
+    n = draw(st.integers(1, 4))
+    axis = st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1, max_size=5 - n // 2,
+                    unique=True)
+    breakpoints = [sorted(draw(axis)) for _ in range(n)]
+    index = st.tuples(*[st.integers(0, len(bs)) for bs in breakpoints])
+    cells = draw(st.lists(index, min_size=1, max_size=12))
+    for j, bs in enumerate(breakpoints):
+        cell = draw(index)
+        cells.append(cell[:j] + (len(bs),) + cell[j + 1:])
+    cells += draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4))
+    return breakpoints, draw(st.permutations(cells))
+
+
+@st.composite
+def level_tables(draw):
+    """A ``from_cells`` resolution with an independent member of [0, u] on every cell."""
+    sig = AlgebraSignature(draw(st.integers(1, 4)), 1)
+    n = draw(st.integers(1, 4))
+    breakpoints = [[Q(b) for b in range(draw(st.integers(1, 4 - n // 2)))] for _ in range(n)]
+    values = {}
+    for idx in product(*[range(len(bs) + 1) for bs in breakpoints]):
+        h = draw(st.integers(0, sig.k))
+        g = draw(st.integers(0 if h == 0 else -3, 0 if h == sig.k else 3))
+        values[idx] = LexElement(sig, h, (g,))
+    return from_cells(sig, n, breakpoints, values)
+
+
+def _zero_grid(breakpoints):
+    sig = AlgebraSignature(1, 1)
+    cells = product(*[range(len(bs) + 1) for bs in breakpoints])
+    return from_cells(sig, len(breakpoints), breakpoints, {idx: sig.zero for idx in cells})
+
+
 class TestCellRegion:
     @settings(max_examples=300, deadline=None)
     @given(grid_cell_subsets())
@@ -340,3 +378,37 @@ class TestCellRegion:
         want = Region(len(breakpoints), [grid_F.cell_box(idx) for idx in cells])
         got = cell_region(grid_F.breakpoints, cells)
         assert got.n == want.n and got.boxes == want.boxes
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_cell_draws())
+    def test_duplicates_and_top_cells_in_n_up_to_4(self, grid):
+        breakpoints, cells = grid
+        grid_F = _zero_grid(breakpoints)
+        want = Region(len(breakpoints), [grid_F.cell_box(idx) for idx in cells])
+        got = cell_region(grid_F.breakpoints, iter(cells))
+        assert got.n == want.n and got.boxes == want.boxes
+
+    def _assert_level_partition(self, F):
+        decomp = level_regions(F)
+        levels = sorted(decomp.regions)
+        for i in levels:
+            cells = [idx for idx in F.cells() if F.values[idx].h == i]
+            assert decomp.regions[i] == Region(F.n, [F.cell_box(idx) for idx in cells])
+        for a, i in enumerate(levels):
+            for j in levels[a + 1:]:
+                assert intersect(decomp.regions[i], decomp.regions[j]).is_empty()
+        whole = Region.empty(F.n)
+        for i in levels:
+            whole = union(whole, decomp.regions[i])
+        assert whole == Region.full(F.n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_level_regions_partition_observable_grids(self, index):
+        cfg = TrialConfig(seed=7, k_range=(1, 3), n_range=(1, 3), max_atoms=6)
+        self._assert_level_partition(from_observable(random_observable(cfg, index)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_tables())
+    def test_level_regions_partition_level_tables(self, F):
+        self._assert_level_partition(F)

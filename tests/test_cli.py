@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -9,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexspec.cli import main
+import lexspec
+from lexspec.cli import build_parser, main
 from lexspec.gallery import build_observable
 from lexspec.observable import observable_from_doc, observable_to_json
 from lexspec.spectral import MAX_DENSE_CELLS, from_observable, resolution_to_json
@@ -198,6 +202,52 @@ class TestExample:
             main(["example", "3.7/7", "--json"])
         assert info.value.code == 2
         assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of ``lexspec argv`` in a new interpreter."""
+    paths = [str(Path(lexspec.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lexspec.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _this_process(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+class TestParserReuse:
+    """The parser is built once per process; no default or parse state may
+    carry from one ``main`` call to the next."""
+
+    @pytest.mark.parametrize(
+        "first, first_rc, then",
+        [
+            (
+                ["verify", "--trials", "2", "--k", "2", "--json"], 0,
+                ["verify", "--trials", "2", "--json"],
+            ),
+            # --k 3, not 2: patho/M defaults to k = 2, which would hide a leaked value
+            (["example", "patho/4", "--k", "3"], 0, ["example", "patho/4"]),
+            (["verify", "--trials", "-1"], 2, ["verify", "--trials", "2", "--json"]),
+        ],
+        ids=["verify-k", "example-k", "usage-error"],
+    )
+    def test_later_call_matches_a_fresh_process(self, first, first_rc, then, capsys):
+        assert build_parser() is build_parser()
+        got_first = _this_process(first, capsys)
+        got_then = _this_process(then, capsys)
+        assert got_first[0] == first_rc and got_then[0] == 0
+        assert got_first == _fresh_process(first)
+        assert got_then == _fresh_process(then)
 
 
 class TestLoadDocument:
