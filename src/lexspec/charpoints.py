@@ -28,7 +28,6 @@ from .spectral import (
     CellIndex,
     StepResolution,
     _element,
-    _flat_values,
     _induced_values,
     check_axioms,
 )
@@ -50,7 +49,7 @@ ExtPoint = tuple[ExtRat, ...]
 
 
 def _level(F: StepResolution, idx: CellIndex) -> int:
-    return F.values[idx].h
+    return F.table[idx][0]
 
 
 def _run_start(F: StepResolution, idx: CellIndex, axis: int) -> int:
@@ -269,7 +268,7 @@ def _blocks(F: StepResolution) -> list[Block]:
         cp_level = None if 0 in starts else _level(F, tuple(r - 1 for r in starts))
 
         # Every member has height i, so the meet is the componentwise minimum.
-        g = tuple(map(min, zip(*(F.values[idx].g for idx in cells))))
+        g = tuple(map(min, zip(*(F.table[idx][1:] for idx in cells))))
         infimum = LexElement(F.signature, i, g)
         found.append(Block(
             i, starts, cells, F.breakpoints, tuple(landing), cp_level, adjoined, infimum, tuple(flags)
@@ -335,14 +334,13 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     # Adjoined characteristic points are breakpoint vectors of F, so the
     # candidate's resolution lives on F's own grid.
     induced = _induced_values(candidate, F.breakpoints)
-    values = _flat_values(F)
     for idx in F.cells():
-        if induced[idx] != values[idx]:
+        if induced[idx] != F.table[idx]:
             return MismatchReport(
                 candidate=candidate,
                 witness_point=F.cell_rep(idx),
                 witness_cell=str(F.cell_box(idx)),
-                value_f=F.values[idx],
+                value_f=_element(F.signature, F.table[idx]),
                 value_candidate=_element(F.signature, induced[idx]),
             )
     return candidate
@@ -420,8 +418,8 @@ def rays_check(F: StepResolution, point: ExtPoint) -> RaysResult:
 
     # vertical rays: heights strictly above point[1]
     for t in range(sy, m1 + 1):
-        lo = [F.values[(r, t)].h for r in range(0, sx)]
-        hi = [F.values[(r, t)].h for r in range(sx, m0 + 1)]
+        lo = [F.table[(r, t)][0] for r in range(0, sx)]
+        hi = [F.table[(r, t)][0] for r in range(sx, m0 + 1)]
         if lo and hi and max(lo) >= min(hi):
             return RaysResult(
                 False,
@@ -434,8 +432,8 @@ def rays_check(F: StepResolution, point: ExtPoint) -> RaysResult:
             )
     # horizontal rays: abscissas strictly right of point[0]
     for s in range(sx, m0 + 1):
-        lo = [F.values[(s, c)].h for c in range(0, sy)]
-        hi = [F.values[(s, c)].h for c in range(sy, m1 + 1)]
+        lo = [F.table[(s, c)][0] for c in range(0, sy)]
+        hi = [F.table[(s, c)][0] for c in range(sy, m1 + 1)]
         if lo and hi and max(lo) >= min(hi):
             return RaysResult(
                 False,

@@ -99,13 +99,13 @@ def load_document(path: str) -> tuple[str, DiscreteObservable | StepResolution]:
     raise ObservableError(f"unknown document kind {kind!r}")
 
 
-def _as_resolution(kind: str, obj) -> StepResolution:
+def _load_resolution(path: str) -> StepResolution:
+    kind, obj = load_document(path)
     return from_observable(obj) if kind == "observable" else obj
 
 
 def cmd_eval(args) -> int:
-    kind, obj = load_document(args.input)
-    F = _as_resolution(kind, obj)
+    F = _load_resolution(args.input)
     point = parse_point(args.point)
     value = eval_F(F, point)
     if args.json:
@@ -116,8 +116,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    kind, obj = load_document(args.input)
-    F = _as_resolution(kind, obj)
+    F = _load_resolution(args.input)
     decomp = level_regions(F)
     if args.json:
         _emit_doc(args, decomp.to_doc())
@@ -130,8 +129,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_charpoints(args) -> int:
-    kind, obj = load_document(args.input)
-    F = _as_resolution(kind, obj)
+    F = _load_resolution(args.input)
     report = all_blocks(F)
     if args.json:
         _emit_doc(args, report.to_doc() | {"bounds": bounds_check(report).to_doc()})
@@ -169,8 +167,7 @@ def _describe_blocks(report) -> str:
 
 
 def cmd_axioms(args) -> int:
-    kind, obj = load_document(args.input)
-    F = _as_resolution(kind, obj)
+    F = _load_resolution(args.input)
     report = check_axioms(F)
     if args.json:
         _emit_doc(args, {"ok": report.ok, "axioms": report.to_doc()})
@@ -189,8 +186,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    kind, obj = load_document(args.input)
-    F = _as_resolution(kind, obj)
+    F = _load_resolution(args.input)
     try:
         result = reconstruct(F)
     except ReconstructionError as exc:
@@ -242,8 +238,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    kind, obj = load_document(args.input)
-    F = _as_resolution(kind, obj)
+    F = _load_resolution(args.input)
     text = render_svg(F) if args.format == "svg" else render_ascii(F)
     _emit(args, text)
     return 0
@@ -254,7 +249,7 @@ def cmd_example(args) -> int:
     out = []
     if note:
         out.append(f"note: {note}")
-    F = _as_resolution(kind, obj)
+    F = from_observable(obj) if kind == "observable" else obj
     if kind == "observable":
         out.append(f"atoms (k={obj.signature.k}, d={obj.signature.d}, n={obj.n}):")
         out += _describe_atoms(obj)

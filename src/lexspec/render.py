@@ -70,7 +70,7 @@ def render_ascii(F: StepResolution) -> str:
         f"y: [{format_rational(ymin)}, {format_rational(ymax)}]   * char point"
     )
     counts = report.level_counts()
-    present = sorted({v.h for v in F.values.values()})
+    present = sorted({t[0] for t in F.table.values()})
     legend = []
     for lv in present:
         entry = f"T_{lv}='{_level_glyph(lv)}'"
@@ -157,7 +157,7 @@ def render_svg(F: StepResolution) -> str:
             f'font-family="monospace" font-size="11" fill="#111111">{label}</text>'
         )
     # legend: nonempty levels only
-    present = sorted({v.h for v in F.values.values()})
+    present = sorted({t[0] for t in F.table.values()})
     lx = float(_MARGIN)
     ly = float(plot_h - _MARGIN + 30)
     for lv in present:

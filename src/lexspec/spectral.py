@@ -7,11 +7,11 @@ continuous by construction.  Monotonicity, the boundary values, and the
 nonnegative-increment (volume) conditions are checkable facts, not type
 invariants, so pathological resolutions can be represented and studied.
 
-The grid kernel works on flat integer tuples ``(h, g_1, ..., g_d)``: each cell
-value is converted once, with one signature check, and prefix sums, first
-differences and comparisons are integer operations on those tuples.
-``LexElement`` objects are built only for what is returned (``F.values`` and
-witnesses).
+A resolution stores each cell value once, as a flat integer tuple
+``(h, g_1, ..., g_d)`` in ``F.table``, converted with one signature check when
+it is built.  Prefix sums, first differences, corner sums and comparisons are
+integer operations on those tuples; ``LexElement`` objects are built only for
+what is returned (``eval_F``, volumes, witnesses, and ``F.values``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .lexalg import (
     AlgebraSignature,
     LexElement,
     group_add,
-    group_sub,
     in_unit_interval,
 )
 from .observable import (
@@ -60,21 +59,27 @@ Flat = tuple[int, ...]  # an element (h, g) as the flat tuple (h, g_1, ..., g_d)
 
 
 class StepResolution:
-    """A total map from grid cells to algebra elements."""
+    """A total map from grid cells to algebra elements, stored in ``table`` as
+    flat tuples; ``values`` builds a new ``{index: LexElement}`` dict on each
+    access.  Build with :func:`from_cells` or :func:`from_observable`."""
 
-    __slots__ = ("signature", "n", "breakpoints", "values")
+    __slots__ = ("signature", "n", "breakpoints", "table")
 
     def __init__(
         self,
         signature: AlgebraSignature,
         n: int,
         breakpoints: Sequence[Sequence[Fraction]],
-        values: Mapping[CellIndex, LexElement],
+        table: Mapping[CellIndex, Flat],
     ) -> None:
         self.signature = signature
         self.n = n
         self.breakpoints = tuple(tuple(Fraction(b) for b in axis) for axis in breakpoints)
-        self.values = dict(values)
+        self.table = dict(table)
+
+    @property
+    def values(self) -> dict[CellIndex, LexElement]:
+        return {idx: _element(self.signature, t) for idx, t in self.table.items()}
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -83,9 +88,6 @@ class StepResolution:
 
     def cells(self) -> Iterator[CellIndex]:
         return product(*[range(m + 1) for m in self.shape])
-
-    def value(self, idx: CellIndex) -> LexElement:
-        return self.values[idx]
 
     def cell_of_point(self, point: Sequence[Fraction]) -> CellIndex:
         if len(point) != self.n:
@@ -120,7 +122,7 @@ class StepResolution:
             and self.signature == other.signature
             and self.n == other.n
             and self.breakpoints == other.breakpoints
-            and self.values == other.values
+            and self.table == other.table
         )
 
     def __repr__(self) -> str:
@@ -166,7 +168,8 @@ def from_cells(
             raise ResolutionError(f"cell {idx} value has a foreign signature")
         if not in_unit_interval(v):
             raise ResolutionError(f"cell {idx} value {v} lies outside [0, u]")
-    return StepResolution(signature, n, norm_breaks, values)
+    table = {idx: (v.h, *v.g) for idx, v in values.items()}
+    return StepResolution(signature, n, norm_breaks, table)
 
 
 # Largest dense grid from_observable builds: (m+1)^n cells for m atoms in
@@ -190,21 +193,13 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
         raise ResolutionError(
             f"dense grid of {cells} cells exceeds the limit of {MAX_DENSE_CELLS}"
         )
-    values = _induced_values(x, breaks)
-    return StepResolution(
-        x.signature, x.n, breaks, {idx: _element(x.signature, t) for idx, t in values.items()}
-    )
+    return StepResolution(x.signature, x.n, breaks, _induced_values(x, breaks))
 
 
 def _flat(v: LexElement, signature: AlgebraSignature) -> Flat:
     if v.signature != signature:
         raise AlgebraError(f"signature mismatch: {v.signature} vs {signature}")
     return (v.h, *v.g)
-
-
-def _flat_values(F: StepResolution) -> dict[CellIndex, Flat]:
-    """The cell values of ``F`` as flat tuples, each checked against F's signature."""
-    return {idx: _flat(v, F.signature) for idx, v in F.values.items()}
 
 
 def _element(signature: AlgebraSignature, t: Flat) -> LexElement:
@@ -268,7 +263,7 @@ def to_observable(F: StepResolution) -> DiscreteObservable:
     breakpoint vector and raises :class:`ResolutionError`; masses outside
     ``[0, u]`` or not summing to the unit raise :class:`ObservableError`.
     """
-    masses = _flat_values(F)
+    masses = dict(F.table)
     _sweep(masses, F.shape, range(F.n), diff=True)
     atoms = []
     for idx, t in masses.items():
@@ -286,7 +281,7 @@ def to_observable(F: StepResolution) -> DiscreteObservable:
 
 def eval_F(F: StepResolution, point: Sequence[Fraction]) -> LexElement:
     """Value of the unique cell containing ``point``."""
-    return F.values[F.cell_of_point(point)]
+    return _element(F.signature, F.table[F.cell_of_point(point)])
 
 
 def volume(F: StepResolution, bounds: Sequence[tuple[Fraction, Fraction]]) -> LexElement:
@@ -297,19 +292,7 @@ def volume(F: StepResolution, bounds: Sequence[tuple[Fraction, Fraction]]) -> Le
     """
     if len(bounds) != F.n:
         raise ResolutionError(f"{len(bounds)} bounds for dimension {F.n}")
-    bounds = [(Fraction(a), Fraction(b)) for a, b in bounds]
-    for a, b in bounds:
-        if a > b:
-            raise ResolutionError(f"lower bound exceeds upper bound: {a} > {b}")
-    total = F.signature.zero
-    for eps in product((0, 1), repeat=F.n):
-        corner = tuple(bounds[j][e] for j, e in enumerate(eps))
-        term = eval_F(F, corner)
-        if (F.n - sum(eps)) % 2 == 0:
-            total = group_add(total, term)
-        else:
-            total = group_sub(total, term)
-    return total
+    return _corner_sum(F, dict(enumerate(bounds)), [a for a, _ in bounds])
 
 
 def partial_delta(
@@ -322,6 +305,8 @@ def partial_delta(
     ``deltas`` maps axis index to its (a, b) bounds; coordinates of ``point``
     on those axes are ignored.
     """
+    if len(point) != F.n:
+        raise ResolutionError(f"point dimension {len(point)}, grid has {F.n}")
     axes = sorted(deltas)
     if not 1 <= len(axes) < F.n:
         raise ResolutionError(
@@ -329,22 +314,34 @@ def partial_delta(
         )
     if any(a < 0 or a >= F.n for a in axes):
         raise ResolutionError(f"axis out of range in {axes}")
-    norm = {j: (Fraction(a), Fraction(b)) for j, (a, b) in deltas.items()}
-    for a, b in norm.values():
+    return _corner_sum(F, deltas, point)
+
+
+def _corner_sum(
+    F: StepResolution,
+    deltas: Mapping[int, tuple[Fraction, Fraction]],
+    point: Sequence[Fraction],
+) -> LexElement:
+    """Sum of F over the corners of the bounds ``deltas`` (axis -> (a, b)), the
+    other coordinates at ``point``; a corner has sign (-1)^(number of a's).
+
+    Every corner lies in a grid cell, so the sum runs over ``F.table`` and one
+    element is built at the end.
+    """
+    ends = []
+    for j, (a, b) in deltas.items():
+        a, b = Fraction(a), Fraction(b)
         if a > b:
             raise ResolutionError(f"lower bound exceeds upper bound: {a} > {b}")
-    base = [Fraction(c) for c in point]
-    total = F.signature.zero
-    for eps in product((0, 1), repeat=len(axes)):
-        corner = list(base)
-        for j, e in zip(axes, eps):
-            corner[j] = norm[j][e]
-        term = eval_F(F, corner)
-        if (len(axes) - sum(eps)) % 2 == 0:
-            total = group_add(total, term)
-        else:
-            total = group_sub(total, term)
-    return total
+        ends.append((j, bisect_left(F.breakpoints[j], a), bisect_left(F.breakpoints[j], b)))
+    cell = list(F.cell_of_point(point))
+    total: Flat = (0,) * (F.signature.d + 1)
+    for eps in product((0, 1), repeat=len(ends)):
+        for (j, lo, hi), e in zip(ends, eps):
+            cell[j] = hi if e else lo
+        op = sub if (len(ends) - sum(eps)) % 2 else add
+        total = tuple(map(op, total, F.table[tuple(cell)]))
+    return _element(F.signature, total)
 
 
 def point_mass_via_deltas(F: StepResolution, point: Sequence[Fraction]) -> LexElement:
@@ -423,7 +420,8 @@ def _atomic_box(F: StepResolution, idx: CellIndex) -> list[tuple[Fraction, Fract
 
 
 def _cell_doc(F: StepResolution, idx: CellIndex) -> dict:
-    return {"index": list(idx), "cell": str(F.cell_box(idx))}
+    value = _element(F.signature, F.table[idx])
+    return {"index": list(idx), "cell": str(F.cell_box(idx)), "value": str(value)}
 
 
 def check_axioms(F: StepResolution) -> AxiomReport:
@@ -445,7 +443,7 @@ def check_axioms(F: StepResolution) -> AxiomReport:
     report = AxiomReport()
     sig = F.signature
     shape = F.shape
-    values = _flat_values(F)
+    values = F.table
     zero = _flat(sig.zero, sig)
     masses = dict(values)
     _sweep(masses, shape, range(F.n), diff=True)
@@ -467,8 +465,8 @@ def check_axioms(F: StepResolution) -> AxiomReport:
                     False,
                     witness={
                         "axis": j,
-                        "lower": _cell_doc(F, prev) | {"value": str(F.values[prev])},
-                        "upper": _cell_doc(F, idx) | {"value": str(F.values[idx])},
+                        "lower": _cell_doc(F, prev),
+                        "upper": _cell_doc(F, idx),
                     },
                 )
                 break
@@ -479,9 +477,7 @@ def check_axioms(F: StepResolution) -> AxiomReport:
     bottom = AxiomStatus(True)
     for idx in F.cells():
         if 0 in idx and values[idx] != zero:
-            bottom = AxiomStatus(
-                False, witness=_cell_doc(F, idx) | {"value": str(F.values[idx])}
-            )
+            bottom = AxiomStatus(False, witness=_cell_doc(F, idx))
             break
     report.statuses["bottom_zero"] = bottom
 
@@ -489,7 +485,7 @@ def check_axioms(F: StepResolution) -> AxiomReport:
     top_ok = values[top_idx] == _flat(sig.unit, sig)
     report.statuses["top_unit"] = AxiomStatus(
         top_ok,
-        witness=None if top_ok else _cell_doc(F, top_idx) | {"value": str(F.values[top_idx])},
+        witness=None if top_ok else _cell_doc(F, top_idx),
     )
 
     report.statuses["left_continuity"] = AxiomStatus(
@@ -569,8 +565,8 @@ def resolution_to_doc(F: StepResolution) -> dict:
         "n": F.n,
         "breakpoints": [[_encode_rational(b) for b in axis] for axis in F.breakpoints],
         "cells": [
-            {"index": list(idx), "value": {"h": F.values[idx].h, "g": list(F.values[idx].g)}}
-            for idx in sorted(F.values)
+            {"index": list(idx), "value": {"h": t[0], "g": list(t[1:])}}
+            for idx, t in sorted(F.table.items())
         ],
     }
 

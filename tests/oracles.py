@@ -2,19 +2,20 @@
 
 Imported by tests/test_acceptance.py and tests/test_charpoints.py so that the
 gallery's characteristic-point table and its brute-force oracle exist once,
-by tests/test_spectral.py for the corner-sum reference of the grid kernel,
+by tests/test_spectral.py for the corner-sum references of the grid kernel,
 and by tests/test_lexalg.py and tests/test_boxgeom.py for small helpers that
 only tests use.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction as Q
 from itertools import combinations, product
 
 from lexspec.boxgeom import GeometryError, Region
-from lexspec.lexalg import LexElement, mv_neg, mv_oplus
-from lexspec.spectral import partial_delta, volume
+from lexspec.lexalg import LexElement, group_add, group_sub, mv_neg, mv_oplus
+from lexspec.spectral import eval_F, partial_delta, volume
 
 
 def height_class(a: LexElement) -> int:
@@ -119,3 +120,52 @@ def oracle_difference_statuses(F) -> dict[str, tuple[bool, dict | None]]:
                     out["partial_delta_nonneg"] = (False, witness)
                     return out
     return out
+
+
+# Reference corner sums: one ``eval_F`` per corner, summed with ``group_add``
+# and ``group_sub`` on elements, independent of the flat table arithmetic.
+
+
+def reference_volume(F, bounds) -> LexElement:
+    """Alternating corner sum of F over the half-open box prod [a_j, b_j)."""
+    bounds = [(Q(a), Q(b)) for a, b in bounds]
+    total = F.signature.zero
+    for eps in product((0, 1), repeat=F.n):
+        corner = tuple(bounds[j][e] for j, e in enumerate(eps))
+        term = eval_F(F, corner)
+        if (F.n - sum(eps)) % 2 == 0:
+            total = group_add(total, term)
+        else:
+            total = group_sub(total, term)
+    return total
+
+
+def reference_partial_delta(F, deltas, point) -> LexElement:
+    """Alternating corner sum over the axes of ``deltas``, the rest at ``point``."""
+    axes = sorted(deltas)
+    norm = {j: (Q(a), Q(b)) for j, (a, b) in deltas.items()}
+    base = [Q(c) for c in point]
+    total = F.signature.zero
+    for eps in product((0, 1), repeat=len(axes)):
+        corner = list(base)
+        for j, e in zip(axes, eps):
+            corner[j] = norm[j][e]
+        term = eval_F(F, corner)
+        if (len(axes) - sum(eps)) % 2 == 0:
+            total = group_add(total, term)
+        else:
+            total = group_sub(total, term)
+    return total
+
+
+def reference_point_mass(F, point) -> LexElement:
+    """Volume of [p_j, p_j + delta_j) with p_j + delta_j inside the cell above p_j."""
+    bounds = []
+    for j, c in enumerate(Q(c) for c in point):
+        breaks = F.breakpoints[j]
+        pos = bisect_left(breaks, c)
+        if pos < len(breaks) and breaks[pos] == c:
+            pos += 1
+        delta = (breaks[pos] - c) / 2 if pos < len(breaks) else Q(1)
+        bounds.append((c, c + delta))
+    return reference_volume(F, bounds)

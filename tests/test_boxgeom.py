@@ -391,8 +391,9 @@ class TestCellRegion:
     def _assert_level_partition(self, F):
         decomp = level_regions(F)
         levels = sorted(decomp.regions)
+        values = F.values
         for i in levels:
-            cells = [idx for idx in F.cells() if F.values[idx].h == i]
+            cells = [idx for idx in F.cells() if values[idx].h == i]
             assert decomp.regions[i] == Region(F.n, [F.cell_box(idx) for idx in cells])
         for a, i in enumerate(levels):
             for j in levels[a + 1:]:

@@ -5,16 +5,22 @@ from fractions import Fraction as Q
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexspec.gallery import build_observable
 from lexspec.lexalg import AlgebraError, AlgebraSignature, LexElement, in_unit_interval
-from lexspec.observable import ObservableError, observable_from_doc
+from lexspec.observable import (
+    Atom,
+    DiscreteObservable,
+    ObservableError,
+    make_observable,
+    observable_from_doc,
+)
 from lexspec.spectral import (
     MAX_DENSE_CELLS,
     ResolutionError,
     StepResolution,
     _element,
-    _flat_values,
     _sweep,
     additive_extension,
     check_axioms,
@@ -32,7 +38,12 @@ from lexspec.spectral import (
 )
 from lexspec.verify import SplitMix64, TrialConfig, mismatch_resolution, random_observable
 
-from oracles import oracle_difference_statuses
+from oracles import (
+    oracle_difference_statuses,
+    reference_partial_delta,
+    reference_point_mass,
+    reference_volume,
+)
 
 SIG = AlgebraSignature(2, 1)
 
@@ -126,6 +137,12 @@ class TestPartialDelta:
     def test_axis_count_validated(self, F1):
         with pytest.raises(ResolutionError):
             partial_delta(F1, {0: (1, 2), 1: (1, 2)}, (0, 0))
+
+    @pytest.mark.parametrize("point", [[0], [0, 0], [0, 0, 0, 0]])
+    def test_point_dimension_validated(self, point):
+        F = from_observable(make_observable(SIG, 3, [((1, 1, 1), SIG.unit)]))
+        with pytest.raises(ResolutionError, match=f"point dimension {len(point)}, grid has 3"):
+            partial_delta(F, {2: (0, 1)}, point)
 
     def test_iterated_deltas_compose_to_volume_in_either_order(self, F7):
         # composing single-axis differences equals the corner sum over the
@@ -250,14 +267,22 @@ class TestCheckAxioms:
 
     @pytest.mark.parametrize("idx", [(0, 0), (2, 1), (3, 3)])
     def test_foreign_signature_value_raises(self, F1, idx):
-        # from_cells refuses such a value; a resolution built directly can
-        # still carry one, and the grid kernel must not read it as a number
-        values = dict(F1.values)
+        # a resolution stores flat tuples of its own signature, so the
+        # builders refuse a foreign value before any tuple is stored
+        values = F1.values
         v = values[idx]
         values[idx] = LexElement(AlgebraSignature(5, 1), v.h, v.g)
-        F = StepResolution(F1.signature, F1.n, F1.breakpoints, values)
+        with pytest.raises(ResolutionError, match="foreign signature"):
+            from_cells(F1.signature, F1.n, F1.breakpoints, values)
+
+    def test_foreign_signature_weight_raises(self):
+        # DiscreteObservable built directly, past make_observable's checks
+        x = build_observable("3.7/1")
+        atoms = list(x.atoms)
+        w = atoms[0].weight
+        atoms[0] = Atom(atoms[0].point, LexElement(AlgebraSignature(5, 1), w.h, w.g))
         with pytest.raises(AlgebraError, match="signature mismatch"):
-            check_axioms(F)
+            from_observable(DiscreteObservable(x.signature, x.n, tuple(atoms)))
 
 
 def _brute_force_box_volumes(F: StepResolution):
@@ -333,13 +358,13 @@ class TestVolumeReductionOracle:
             for name, status in statuses.items():
                 verdicts.setdefault(name, set()).add(status.ok)
             # the masses are the first differences; summing them back gives F
-            masses = _flat_values(F)
+            masses = dict(F.table)
             _sweep(masses, F.shape, range(F.n), diff=True)
             for idx in product(*[range(1, m + 1) for m in F.shape]):
                 lower = [F.breakpoints[j][r - 1] for j, r in enumerate(idx)]
                 assert _element(F.signature, masses[idx]) == point_mass_via_deltas(F, lower)
             _sweep(masses, F.shape, range(F.n))
-            assert masses == _flat_values(F)
+            assert masses == dict(F.table)
         checked = ["monotone", "bottom_zero", "top_unit", "volume_nonneg"]
         if n > 1:
             checked.append("partial_delta_nonneg")
@@ -370,6 +395,82 @@ class TestVolumeReductionOracle:
                         for j in range(len(ys) - 1):
                             pieces.append([(xs[i], xs[i + 1]), (ys[j], ys[j + 1])])
                 assert additive_extension(F, pieces) == vol
+
+
+def _members(sig: AlgebraSignature):
+    """Members of [0, u]: g >= 0 at height 0, g <= 0 at the unit height."""
+
+    def at_height(h):
+        lo = 0 if h == 0 else -3
+        hi = 0 if h == sig.k else 3
+        g = st.tuples(*[st.integers(lo, hi)] * sig.d)
+        return g.map(lambda g: LexElement(sig, h, g))
+
+    return st.integers(0, sig.k).flatmap(at_height)
+
+
+@st.composite
+def corner_sum_cases(draw):
+    """A resolution in n = 1..4 with query bounds and a point on and off its grid.
+
+    Half the tables are observable resolutions with up to two cells
+    overwritten, half carry an independent member of [0, u] on every cell, so
+    masses turn negative.  Each axis draws its coordinates from its
+    breakpoints, the midpoints between them and one value past either end; in
+    about one case in four the bounds of one axis coincide.
+    """
+    n = draw(st.integers(1, 4))
+    sig = AlgebraSignature(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        points = draw(st.lists(
+            st.tuples(*[st.integers(-2, 3)] * n), min_size=sig.k, max_size=sig.k, unique=True
+        ))
+        gs = [draw(st.tuples(*[st.integers(-3, 3)] * sig.d)) for _ in points[1:]]
+        gs.insert(0, tuple(-sum(c) for c in zip(*gs)) if gs else (0,) * sig.d)
+        x = make_observable(sig, n, [(p, LexElement(sig, 1, g)) for p, g in zip(points, gs)])
+        F = from_observable(x)
+        values = F.values
+        for _ in range(draw(st.integers(0, 2))):
+            values[draw(st.sampled_from(sorted(values)))] = draw(_members(sig))
+        breakpoints = F.breakpoints
+    else:
+        axis = st.lists(st.fractions(-3, 3, max_denominator=2), min_size=1,
+                        max_size=4 - n // 2, unique=True)
+        breakpoints = [sorted(draw(axis)) for _ in range(n)]
+        cells = product(*[range(len(bs) + 1) for bs in breakpoints])
+        values = {idx: draw(_members(sig)) for idx in cells}
+    F = from_cells(sig, n, breakpoints, values)
+    pools = []
+    for bs in F.breakpoints:
+        mids = [(a + b) / 2 for a, b in zip(bs, bs[1:])]
+        pools.append(sorted([bs[0] - 1, *bs, *mids, bs[-1] + 1]))
+    bounds = [
+        tuple(sorted(draw(st.lists(st.sampled_from(p), min_size=2, max_size=2, unique=True))))
+        for p in pools
+    ]
+    if draw(st.integers(0, 3)) == 3:
+        j = draw(st.integers(0, n - 1))
+        bounds[j] = (bounds[j][1], bounds[j][1])
+    point = [draw(st.sampled_from(p)) for p in pools]
+    deltas = None
+    if n > 1:
+        axes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+        deltas = {j: bounds[j] for j in axes}
+    return F, bounds, deltas, point
+
+
+class TestCornerSumReference:
+    """volume, partial_delta and point_mass_via_deltas against the element
+    corner loop of ``oracles``, on tables that fail the volume condition too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(corner_sum_cases())
+    def test_matches_the_element_corner_loop(self, case):
+        F, bounds, deltas, point = case
+        assert volume(F, bounds) == reference_volume(F, bounds)
+        assert point_mass_via_deltas(F, point) == reference_point_mass(F, point)
+        if deltas is not None:
+            assert partial_delta(F, deltas, point) == reference_partial_delta(F, deltas, point)
 
 
 class TestAdditiveExtension:
