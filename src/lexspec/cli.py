@@ -291,49 +291,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
+    def add_common(p, *flags):
+        if "--input" in flags:
             p.add_argument("--input", required=True, help="observable or resolution JSON file")
-        p.add_argument("--json", action="store_true", help="emit JSON")
+        if "--json" in flags:
+            p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("eval", help="evaluate the resolution at a point")
-    add_common(p)
+    add_common(p, "--input", "--json")
     p.add_argument("--point", required=True, help='comma-separated rationals, e.g. "4,4"')
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("regions", help="print the level-set regions T_i")
-    add_common(p)
+    add_common(p, "--input", "--json")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("charpoints", help="blocks, characteristic points, bounds")
-    add_common(p)
+    add_common(p, "--input", "--json")
     p.set_defaults(func=cmd_charpoints)
 
     p = sub.add_parser("axioms", help="check the spectral-resolution conditions")
-    add_common(p)
+    add_common(p, "--input", "--json")
     p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("reconstruct", help="rebuild an observable from adjoined blocks")
-    add_common(p)
+    add_common(p, "--input", "--json")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run the randomized theorem suite")
-    add_common(p, needs_input=False)
+    add_common(p, "--json")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(0), default=100)
     p.add_argument("--k", type=_at_least(1), default=None, help="largest unit height to draw")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw the 2-D level map")
-    add_common(p)
+    add_common(p, "--input")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("example", help="analyze a built-in example")
     p.add_argument("name", help=f"one of: {', '.join(example_names())}")
     p.add_argument("--k", type=_at_least(1), default=None, help="algebra height for patho/M")
-    p.add_argument("--out", help="write output to this path instead of stdout")
+    add_common(p)
     p.set_defaults(func=cmd_example)
 
     return parser

@@ -1,19 +1,25 @@
 """Deterministic 2-D level maps: ASCII on a fixed 60x24 grid, and SVG 1.1.
 
-Both renderers clip to the bounding box of the finite breakpoints padded by
-one unit, fill each level set distinctly, draw block boundaries, and mark
-characteristic points (with coordinates, in the SVG).  Identical input yields
-byte-identical output.
+Both renderers draw the bounding box of the finite breakpoints padded by one
+unit, fill each level set distinctly, draw block boundaries, and mark
+characteristic points (with coordinates, in the SVG).  They read the cell
+grid directly: an ASCII column or row is a cell index, and an SVG coordinate
+is looked up by value.  Nothing is clipped, because nothing can leave the
+box: every region end is a breakpoint or an infinity (drawn at the padded
+edge), and every finite characteristic point is a vector of breakpoints.
+Identical input yields byte-identical output.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
-from .boxgeom import format_rational, is_finite
-from .charpoints import all_blocks, format_ext_point
-from .spectral import StepResolution, eval_F
+from .boxgeom import NEG_INF, POS_INF, format_rational
+from .charpoints import Block, ExtPoint, _blocks, _point, format_ext_point
+from .spectral import StepResolution
 
 
 class RenderError(ValueError):
@@ -22,59 +28,46 @@ class RenderError(ValueError):
 
 ASCII_WIDTH = 60
 ASCII_HEIGHT = 24
+_GLYPHS = ".123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _bbox(F: StepResolution) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def _frame(F: StepResolution) -> tuple[list[Block], list[ExtPoint], tuple[Fraction, ...]]:
+    """Blocks, finite characteristic points in sorted order, and the padded box."""
+    if F.n != 2:
+        raise RenderError("rendering needs a two-dimensional resolution")
+    found = _blocks(F)
+    starts = sorted({b.starts for b in found if 0 not in b.starts})
     xs, ys = F.breakpoints
-    return xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + 1
-
-
-def _level_glyph(level: int) -> str:
-    if level == 0:
-        return "."
-    if level < 10:
-        return str(level)
-    return chr(ord("a") + level - 10)
+    bbox = (xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + 1)
+    return found, [_point(F.breakpoints, r) for r in starts], bbox
 
 
 def render_ascii(F: StepResolution) -> str:
     """Level map on a fixed 60x24 character grid; characteristic points are '*'."""
-    if F.n != 2:
-        raise RenderError("rendering needs a two-dimensional resolution")
-    report = all_blocks(F)
-    xmin, xmax, ymin, ymax = _bbox(F)
+    found, points, (xmin, xmax, ymin, ymax) = _frame(F)
+    present = sorted({t[0] for t in F.table.values()})
+    if present[-1] >= len(_GLYPHS):
+        raise RenderError(f"level {present[-1]} has no ASCII glyph; use --format svg")
+    xs, ys = F.breakpoints
     dx = (xmax - xmin) / ASCII_WIDTH
     dy = (ymax - ymin) / ASCII_HEIGHT
-    rows: list[list[str]] = []
-    for r in range(ASCII_HEIGHT):
-        y = ymax - dy * r - dy / 2
-        row = []
-        for c in range(ASCII_WIDTH):
-            x = xmin + dx * c + dx / 2
-            row.append(_level_glyph(eval_F(F, (x, y)).h))
-        rows.append(row)
-    for p in report.char_points():
-        if not all(is_finite(coord) for coord in p):
-            continue
-        px, py = p
-        if not (xmin <= px <= xmax and ymin <= py <= ymax):
-            continue
-        c = min(ASCII_WIDTH - 1, max(0, int((px - xmin) / dx)))
-        r = min(ASCII_HEIGHT - 1, max(0, int((ymax - py) / dy)))
-        rows[r][c] = "*"
+    cols = [bisect_left(xs, xmin + dx * c + dx / 2) for c in range(ASCII_WIDTH)]
+    rows = [bisect_left(ys, ymax - dy * r - dy / 2) for r in range(ASCII_HEIGHT)]
+    grid = [[_GLYPHS[F.table[(c, r)][0]] for c in cols] for r in rows]
+    for px, py in points:
+        grid[int((ymax - py) / dy)][int((px - xmin) / dx)] = "*"
     lines = ["+" + "-" * ASCII_WIDTH + "+"]
-    lines += ["|" + "".join(row) + "|" for row in rows]
+    lines += ["|" + "".join(row) + "|" for row in grid]
     lines.append("+" + "-" * ASCII_WIDTH + "+")
     lines.append(
         f"x: [{format_rational(xmin)}, {format_rational(xmax)}]   "
         f"y: [{format_rational(ymin)}, {format_rational(ymax)}]   * char point"
     )
-    counts = report.level_counts()
-    present = sorted({t[0] for t in F.table.values()})
+    counts = Counter(b.level for b in found)
     legend = []
     for lv in present:
-        entry = f"T_{lv}='{_level_glyph(lv)}'"
-        if counts.get(lv):
+        entry = f"T_{lv}='{_GLYPHS[lv]}'"
+        if counts[lv]:
             entry += f" ({counts[lv]} block{'s' if counts[lv] != 1 else ''})"
         legend.append(entry)
     lines.append("levels: " + "  ".join(legend))
@@ -101,59 +94,50 @@ def _fmt(v: float) -> str:
 
 def render_svg(F: StepResolution) -> str:
     """SVG 1.1 level map with block outlines and labelled characteristic points."""
-    if F.n != 2:
-        raise RenderError("rendering needs a two-dimensional resolution")
-    report = all_blocks(F)
-    xmin, xmax, ymin, ymax = _bbox(F)
+    found, points, (xmin, xmax, ymin, ymax) = _frame(F)
+    xs, ys = F.breakpoints
     k = F.signature.k
     plot_h = _SVG_H - _LEGEND_H
-    sx = (_SVG_W - 2 * _MARGIN) / float(xmax - xmin)
-    sy = (plot_h - 2 * _MARGIN) / float(ymax - ymin)
-    fxmin, fymin = float(xmin), float(ymin)
-
-    def px(x: Fraction) -> float:
-        return _MARGIN + (float(x) - fxmin) * sx
-
-    def py(y: Fraction) -> float:
-        return plot_h - _MARGIN - (float(y) - fymin) * sy
-
-    def clip(v, lo, hi):
-        return min(max(v, lo), hi)
+    # Screen coordinate of every breakpoint and padded end; -inf and +inf
+    # are drawn at the padded ends.
+    try:
+        sx = (_SVG_W - 2 * _MARGIN) / float(xmax - xmin)
+        sy = (plot_h - 2 * _MARGIN) / float(ymax - ymin)
+        fxmin, fymin = float(xmin), float(ymin)
+        X = {x: _MARGIN + (float(x) - fxmin) * sx for x in (xmin, *xs, xmax)}
+        Y = {y: plot_h - _MARGIN - (float(y) - fymin) * sy for y in (ymin, *ys, ymax)}
+    except OverflowError:
+        raise RenderError("coordinates beyond float range; use --format ascii") from None
+    X[NEG_INF], X[POS_INF] = X[xmin], X[xmax]
+    Y[NEG_INF], Y[POS_INF] = Y[ymin], Y[ymax]
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_W}" height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect x="{_fmt(px(xmin))}" y="{_fmt(py(ymax))}" '
-        f'width="{_fmt(px(xmax) - px(xmin))}" height="{_fmt(py(ymin) - py(ymax))}" '
+        f'<rect x="{_fmt(X[xmin])}" y="{_fmt(Y[ymax])}" '
+        f'width="{_fmt(X[xmax] - X[xmin])}" height="{_fmt(Y[ymin] - Y[ymax])}" '
         f'fill="{_shade(0, k)}" stroke="#444444" stroke-width="1"/>',
     ]
-    # blocks, one rectangle per region box, clipped to the padded bounding box
-    for block in report.all_blocks():
+    # blocks, one rectangle per region box
+    for block in found:
         for box in block.region.boxes:
             (ix, iy) = box.dims
-            x0 = clip(ix.lo if is_finite(ix.lo) else xmin, xmin, xmax)
-            x1 = clip(ix.hi if is_finite(ix.hi) else xmax, xmin, xmax)
-            y0 = clip(iy.lo if is_finite(iy.lo) else ymin, ymin, ymax)
-            y1 = clip(iy.hi if is_finite(iy.hi) else ymax, ymin, ymax)
-            if x0 == x1 or y0 == y1:
-                continue
+            x0, x1, y0, y1 = X[ix.lo], X[ix.hi], Y[iy.lo], Y[iy.hi]
             out.append(
-                f'<rect x="{_fmt(px(x0))}" y="{_fmt(py(y1))}" '
-                f'width="{_fmt(px(x1) - px(x0))}" height="{_fmt(py(y0) - py(y1))}" '
+                f'<rect x="{_fmt(x0)}" y="{_fmt(y1)}" '
+                f'width="{_fmt(x1 - x0)}" height="{_fmt(y0 - y1)}" '
                 f'fill="{_shade(block.level, k)}" stroke="#333333" stroke-width="1"/>'
             )
-    for p in report.char_points():
-        if not all(is_finite(coord) for coord in p):
-            continue
-        cx, cy = clip(p[0], xmin, xmax), clip(p[1], ymin, ymax)
+    for p in points:
+        cx, cy = X[p[0]], Y[p[1]]
         out.append(
-            f'<circle cx="{_fmt(px(cx))}" cy="{_fmt(py(cy))}" r="3.5" '
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" '
             f'fill="#b2182b" stroke="#ffffff" stroke-width="1"/>'
         )
         label = escape(format_ext_point(p))
         out.append(
-            f'<text x="{_fmt(px(cx) + 6)}" y="{_fmt(py(cy) - 6)}" '
+            f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" '
             f'font-family="monospace" font-size="11" fill="#111111">{label}</text>'
         )
     # legend: nonempty levels only

@@ -3,6 +3,7 @@
 Imported by tests/test_acceptance.py and tests/test_charpoints.py so that the
 gallery's characteristic-point table and its brute-force oracle exist once,
 by tests/test_spectral.py for the corner-sum references of the grid kernel,
+by tests/test_render.py for the sampled ASCII level map,
 and by tests/test_lexalg.py and tests/test_boxgeom.py for small helpers that
 only tests use.
 """
@@ -13,7 +14,7 @@ from bisect import bisect_left
 from fractions import Fraction as Q
 from itertools import combinations, product
 
-from lexspec.boxgeom import GeometryError, Region
+from lexspec.boxgeom import GeometryError, Region, is_finite
 from lexspec.lexalg import LexElement, group_add, group_sub, mv_neg, mv_oplus
 from lexspec.spectral import eval_F, partial_delta, volume
 
@@ -169,3 +170,35 @@ def reference_point_mass(F, point) -> LexElement:
         delta = (breaks[pos] - c) / 2 if pos < len(breaks) else Q(1)
         bounds.append((c, c + delta))
     return reference_volume(F, bounds)
+
+
+# Reference ASCII level map: the sampling loop ``render_ascii`` once ran, one
+# ``eval_F`` at the centre of every character, with bounds tests and clamps on
+# the marked points.
+
+
+def reference_ascii_rows(F, points, width=60, height=24) -> list[str]:
+    """Rows of the 2-D level map of ``F`` on its breakpoint box padded by one
+    unit; each finite point of ``points`` is marked '*'."""
+    xs, ys = F.breakpoints
+    xmin, xmax, ymin, ymax = xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + 1
+    dx = (xmax - xmin) / width
+    dy = (ymax - ymin) / height
+
+    def glyph(level: int) -> str:
+        return "." if level == 0 else "0123456789abcdefghijklmnopqrstuvwxyz"[level]
+
+    rows = []
+    for r in range(height):
+        y = ymax - dy * r - dy / 2
+        rows.append([glyph(eval_F(F, (xmin + dx * c + dx / 2, y)).h) for c in range(width)])
+    for p in points:
+        if not all(is_finite(v) for v in p):
+            continue
+        px, py = p
+        if not (xmin <= px <= xmax and ymin <= py <= ymax):
+            continue
+        c = min(width - 1, max(0, int((px - xmin) / dx)))
+        r = min(height - 1, max(0, int((ymax - py) / dy)))
+        rows[r][c] = "*"
+    return ["".join(row) for row in rows]

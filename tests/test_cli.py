@@ -165,6 +165,12 @@ class TestRender:
         path.write_text(observable_to_json(x))
         assert main(["render", "--input", str(path)]) == 2
 
+    def test_json_flag_is_a_usage_error(self, ex1, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["render", "--input", ex1, "--json"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
 
 class TestExample:
     def test_case_seven(self, capsys):
