@@ -191,11 +191,15 @@ class BlockReport:
 def level_regions(F: StepResolution) -> LevelDecomposition:
     """Group cells by the height of their value into exact regions."""
     axioms = check_axioms(F)
+    return LevelDecomposition(_level_regions(F), axioms, not axioms.ok)
+
+
+def _level_regions(F: StepResolution) -> dict[int, Region]:
+    """The region of each level 0..k, without an axiom check."""
     cells: dict[int, list[CellIndex]] = {i: [] for i in range(F.signature.k + 1)}
     for idx in F.cells():
         cells[_level(F, idx)].append(idx)
-    regions = {i: cell_region(F.breakpoints, cs) for i, cs in cells.items()}
-    return LevelDecomposition(regions, axioms, not axioms.ok)
+    return {i: cell_region(F.breakpoints, cs) for i, cs in cells.items()}
 
 
 def all_blocks(F: StepResolution) -> BlockReport:

@@ -19,6 +19,7 @@ from .boxgeom import GeometryError, parse_point
 from .charpoints import (
     MismatchReport,
     ReconstructionError,
+    _level_regions,
     all_blocks,
     bounds_check,
     level_regions,
@@ -253,8 +254,7 @@ def cmd_example(args) -> int:
     if kind == "observable":
         out.append(f"atoms (k={obj.signature.k}, d={obj.signature.d}, n={obj.n}):")
         out += _describe_atoms(obj)
-    decomp = level_regions(F)
-    out += [f"T_{i} = {r}" for i, r in sorted(decomp.regions.items())]
+    out += [f"T_{i} = {r}" for i, r in sorted(_level_regions(F).items())]
     report = all_blocks(F)
     out.append(_describe_blocks(report).rstrip("\n"))
     if args.name == "3.7/9":

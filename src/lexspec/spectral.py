@@ -20,18 +20,13 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations, islice, product
 from math import prod
-from operator import add, le, sub
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .boxgeom import (
-    NEG_INF,
-    POS_INF,
-    Box,
-    Interval,
-    RatPoint,
-)
+from .boxgeom import Box, RatPoint, cell_region
 from .lexalg import (
     AlgebraError,
     AlgebraSignature,
@@ -96,16 +91,9 @@ class StepResolution:
             bisect_left(self.breakpoints[j], Fraction(point[j])) for j in range(self.n)
         )
 
-    def cell_interval(self, axis: int, r: int) -> Interval:
-        """The axis interval of cell index ``r``: left open, right closed."""
-        breaks = self.breakpoints[axis]
-        lo = NEG_INF if r == 0 else breaks[r - 1]
-        if r == len(breaks):
-            return Interval(lo, False, POS_INF, False)
-        return Interval(lo, False, breaks[r], True)
-
     def cell_box(self, idx: CellIndex) -> Box:
-        return Box(tuple(self.cell_interval(j, idx[j]) for j in range(self.n)))
+        """The cell ``idx`` as a box: left open, right closed on each axis."""
+        return cell_region(self.breakpoints, [idx]).boxes[0]
 
     def cell_rep(self, idx: CellIndex) -> RatPoint:
         """Deterministic representative point: the closed right end of each axis
@@ -408,17 +396,6 @@ class AxiomReport:
         }
 
 
-def _atomic_box(F: StepResolution, idx: CellIndex) -> list[tuple[Fraction, Fraction]]:
-    """Half-open box whose volume equals the atomic mass of cell ``idx``."""
-    bounds = []
-    for j, r in enumerate(idx):
-        breaks = F.breakpoints[j]
-        lo = breaks[r - 1]
-        hi = breaks[r] if r < len(breaks) else breaks[-1] + 1
-        bounds.append((lo, hi))
-    return bounds
-
-
 def _cell_doc(F: StepResolution, idx: CellIndex) -> dict:
     value = _element(F.signature, F.table[idx])
     return {"index": list(idx), "cell": str(F.cell_box(idx)), "value": str(value)}
@@ -427,16 +404,21 @@ def _cell_doc(F: StepResolution, idx: CellIndex) -> dict:
 def check_axioms(F: StepResolution) -> AxiomReport:
     """Check the spectral-resolution conditions on the whole grid.
 
-    * monotone: adjacent cell values never decrease along any axis;
+    Each difference status scans one table per axis set S, the difference of
+    F along S at every cell (its masses summed along the other axes).  A table
+    is built on first use, and its scan is shared between statuses.
+
+    * monotone: F never decreases from a cell to the next along any axis, by
+      the tables of the single axes;
     * bottom_zero: cells minimal along some axis carry 0 (the value of F at
       -inf along each variable);
     * top_unit: the all-maximal cell carries the unit (the value at +inf);
     * left_continuity: structural, by the left-open right-closed cells;
     * volume_nonneg: every grid-aligned half-open box has nonnegative volume.
       By additivity of the corner sum this holds iff every atomic one-cell
-      box does, so only those are enumerated; a failing atomic box is itself
-      a witness box.  Together with bottom_zero and top_unit it also bounds
-      every box volume by the unit;
+      box does, so only the masses (S = all axes) are scanned; a failing
+      atomic box is itself a witness box.  Together with bottom_zero and
+      top_unit it also bounds every box volume by the unit;
     * partial_delta_nonneg: same reduction for every proper nonempty subset
       of axes with the remaining coordinates fixed anywhere on the grid.
     """
@@ -445,33 +427,42 @@ def check_axioms(F: StepResolution) -> AxiomReport:
     shape = F.shape
     values = F.table
     zero = _flat(sig.zero, sig)
+    all_axes = tuple(range(F.n))
+
     masses = dict(values)
-    _sweep(masses, shape, range(F.n), diff=True)
+    _sweep(masses, shape, all_axes, diff=True)
+
+    @cache
+    def first_negative(axes: tuple[int, ...]) -> tuple[CellIndex, Flat] | None:
+        """First negative entry of F differenced along ``axes``, in ``product``
+        order, with its index; indices run from 1 on ``axes``, where a
+        difference needs the cell below.  The table is dropped after the scan."""
+        table = masses
+        if axes != all_axes:
+            table = dict(values)
+            _sweep(table, shape, axes, diff=True)
+        ranges = [range(1 if j in axes else 0, m + 1) for j, m in enumerate(shape)]
+        return next(
+            ((idx, table[idx]) for idx in product(*ranges) if not _nonneg(table[idx])), None
+        )
+
     # Every difference of F along some axes is a sum of masses, so with all
-    # masses nonnegative, monotone and partial_delta_nonneg hold; their
-    # searches run only when a witness may exist.
+    # masses nonnegative every difference status holds; their scans run only
+    # when a witness may exist.
     masses_nonneg = all(map(_nonneg, masses.values()))
 
     mono = AxiomStatus(True)
-    for idx in () if masses_nonneg else F.cells():
-        v = values[idx]
-        for j in range(F.n):
-            if idx[j] == 0:
-                continue
-            prev = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
-            p = values[prev]
-            if not (p[0] < v[0] or (p[0] == v[0] and all(map(le, p, v)))):
-                mono = AxiomStatus(
-                    False,
-                    witness={
-                        "axis": j,
-                        "lower": _cell_doc(F, prev),
-                        "upper": _cell_doc(F, idx),
-                    },
-                )
-                break
-        if not mono.ok:
-            break
+    # Each axis's first decrease is its least index, so the least (index,
+    # axis) pair is the first decrease in F.cells() order, axes in order.
+    drops = sorted(
+        (neg[0], j) for j in (() if masses_nonneg else all_axes)
+        if (neg := first_negative((j,)))
+    )
+    if drops:
+        idx, j = drops[0]
+        prev = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
+        witness = {"axis": j, "lower": _cell_doc(F, prev), "upper": _cell_doc(F, idx)}
+        mono = AxiomStatus(False, witness=witness)
     report.statuses["monotone"] = mono
 
     bottom = AxiomStatus(True)
@@ -493,16 +484,15 @@ def check_axioms(F: StepResolution) -> AxiomReport:
     )
 
     vol = AxiomStatus(True, note="checked on atomic boxes; additivity covers the rest")
-    bad = next(
-        (idx for idx in product(*[range(1, m + 1) for m in shape]) if not _nonneg(masses[idx])),
-        None,
-    )
-    if bad is not None:
+    neg = None if masses_nonneg else first_negative(all_axes)
+    if neg:
+        bad, mass = neg
+        ends = zip(F.breakpoints, bad, F.cell_rep(bad))
         vol = AxiomStatus(
             False,
             witness={
-                "box": [[str(a), str(b)] for a, b in _atomic_box(F, bad)],
-                "volume": str(_element(sig, masses[bad])),
+                "box": [[str(bs[r - 1]), str(hi)] for bs, r, hi in ends],
+                "volume": str(_element(sig, mass)),
             },
         )
     report.statuses["volume_nonneg"] = vol
@@ -513,45 +503,17 @@ def check_axioms(F: StepResolution) -> AxiomReport:
         )
     else:
         pd = AxiomStatus(True, note="checked on atomic boxes per axis subset")
-        found = None if masses_nonneg else next(
-            ((axes, idx, d) for axes, idx, d in _partial_deltas(masses, shape) if not _nonneg(d)),
-            None,
-        )
-        if found is not None:
-            axes, idx, delta = found
-            pd = AxiomStatus(
-                False,
-                witness={
-                    "axes": list(axes), "index": list(idx), "delta": str(_element(sig, delta))
-                },
-            )
+        subsets = (axes for size in range(1, F.n) for axes in combinations(all_axes, size))
+        for axes in () if masses_nonneg else subsets:
+            neg = first_negative(axes)
+            if neg:
+                idx, d = neg
+                witness = {"axes": list(axes), "index": list(idx), "delta": str(_element(sig, d))}
+                pd = AxiomStatus(False, witness=witness)
+                break
         report.statuses["partial_delta_nonneg"] = pd
 
     return report
-
-
-def _partial_deltas(
-    masses: dict[CellIndex, Flat], shape: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], CellIndex, Flat]]:
-    """(axes, index, delta) for every proper nonempty axis subset, by size and
-    then in ``combinations`` order: the difference of F along ``axes`` is the
-    sum of the masses along the other axes."""
-    n = len(shape)
-    for size in range(1, n):
-        for axes in combinations(range(n), size):
-            summed = dict(masses)
-            _sweep(summed, shape, [j for j in range(n) if j not in axes])
-            for idx in _mixed_indices(shape, axes):
-                yield axes, idx, summed[idx]
-
-
-def _mixed_indices(shape: tuple[int, ...], axes) -> Iterator[CellIndex]:
-    """Indices with components >= 1 on ``axes`` (differenced) and free elsewhere."""
-    axis_set = set(axes)
-    ranges = [
-        range(1, m + 1) if j in axis_set else range(m + 1) for j, m in enumerate(shape)
-    ]
-    return product(*ranges)
 
 
 # --- JSON form ---------------------------------------------------------------

@@ -22,7 +22,7 @@ from .charpoints import (
     rays_check,
     reconstruct,
 )
-from .boxgeom import Region, complement, difference, halfopen_box, intersect, union
+from .boxgeom import Box, Region, closed_open, complement, difference, intersect, union
 from .lexalg import (
     AlgebraSignature,
     LexElement,
@@ -329,23 +329,13 @@ class SuiteSummary:
 
 def _random_grid_region(rng: SplitMix64, F: StepResolution) -> Region:
     """Union of one to three grid-aligned half-open boxes."""
-    coords = []
-    for j in range(F.n):
-        bs = F.breakpoints[j]
-        coords.append([bs[0] - 1] + list(bs) + [bs[-1] + 1])
-    region = Region.empty(F.n)
+    coords = [[bs[0] - 1, *bs, bs[-1] + 1] for bs in F.breakpoints]
+    boxes = []
     for _ in range(rng.randint(1, 3)):
-        bounds_lo = []
-        bounds_hi = []
-        for j in range(F.n):
-            a = rng.choice(coords[j])
-            b = rng.choice(coords[j])
-            if a > b:
-                a, b = b, a
-            bounds_lo.append(a)
-            bounds_hi.append(b)
-        region = union(region, halfopen_box(bounds_lo, bounds_hi))
-    return region
+        ends = [sorted((rng.choice(axis), rng.choice(axis))) for axis in coords]
+        if all(a < b for a, b in ends):  # a degenerate box is empty
+            boxes.append(Box(tuple(closed_open(a, b) for a, b in ends)))
+    return Region(F.n, boxes)
 
 
 def _observable_laws_hold(

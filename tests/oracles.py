@@ -2,8 +2,12 @@
 
 Imported by tests/test_acceptance.py and tests/test_charpoints.py so that the
 gallery's characteristic-point table and its brute-force oracle exist once,
-by tests/test_spectral.py for the corner-sum references of the grid kernel,
+by tests/test_spectral.py for the corner-sum references of the grid kernel
+and the neighbour loop of the monotone status,
+by tests/test_spectral.py and tests/test_boxgeom.py for the cell box read off
+the breakpoints,
 by tests/test_render.py for the sampled ASCII level map,
+by tests/test_verify.py for the chained-union random suite region,
 and by tests/test_lexalg.py and tests/test_boxgeom.py for small helpers that
 only tests use.
 """
@@ -14,7 +18,17 @@ from bisect import bisect_left
 from fractions import Fraction as Q
 from itertools import combinations, product
 
-from lexspec.boxgeom import GeometryError, Region, is_finite
+from lexspec.boxgeom import (
+    NEG_INF,
+    POS_INF,
+    Box,
+    GeometryError,
+    Interval,
+    Region,
+    halfopen_box,
+    is_finite,
+    union,
+)
 from lexspec.lexalg import LexElement, group_add, group_sub, mv_neg, mv_oplus
 from lexspec.spectral import eval_F, partial_delta, volume
 
@@ -89,20 +103,57 @@ def oracle_char_points(x) -> set[tuple[Q, Q]]:
     return found
 
 
-def oracle_difference_statuses(F) -> dict[str, tuple[bool, dict | None]]:
-    """(ok, witness) of ``volume_nonneg`` and ``partial_delta_nonneg`` by corner sums.
+def reference_cell_box(F, idx) -> Box:
+    """The cell ``idx`` of ``F``'s grid, one interval per axis: (b_{r-1}, b_r],
+    with -inf below the first breakpoint and an open +inf above the last."""
+    dims = []
+    for breaks, r in zip(F.breakpoints, idx):
+        lo = NEG_INF if r == 0 else breaks[r - 1]
+        if r == len(breaks):
+            dims.append(Interval(lo, False, POS_INF, False))
+        else:
+            dims.append(Interval(lo, False, breaks[r], True))
+    return Box(tuple(dims))
 
-    Walks the cells in the order ``check_axioms`` reports them and evaluates
-    each difference with the public ``volume`` and ``partial_delta`` at real
-    coordinates: from the breakpoint below the cell to ``F.cell_rep`` on the
-    differenced axes, ``F.cell_rep`` on the fixed ones.  The first negative
-    value is the witness.
+
+def oracle_difference_statuses(F) -> dict[str, tuple[bool, dict | None]]:
+    """(ok, witness) of ``monotone``, ``volume_nonneg`` and ``partial_delta_nonneg``.
+
+    ``monotone`` compares each cell with its lower neighbour along every
+    axis, cells in ``F.cells()`` order and axes in order within a cell: the
+    first pair out of order is the witness.  The other two walk the cells in
+    the order ``check_axioms`` reports them and evaluate each difference with
+    the public ``volume`` and ``partial_delta`` at real coordinates: from the
+    breakpoint below the cell to ``F.cell_rep`` on the differenced axes,
+    ``F.cell_rep`` on the fixed ones.  The first negative value is the witness.
     """
 
     def bounds(idx, axes):
         return {j: (F.breakpoints[j][idx[j] - 1], F.cell_rep(idx)[j]) for j in axes}
 
-    out = {"volume_nonneg": (True, None), "partial_delta_nonneg": (True, None)}
+    values = F.values
+
+    def cell_doc(idx):
+        return {
+            "index": list(idx), "cell": str(reference_cell_box(F, idx)), "value": str(values[idx])
+        }
+
+    out = {
+        "monotone": (True, None),
+        "volume_nonneg": (True, None),
+        "partial_delta_nonneg": (True, None),
+    }
+    for idx in F.cells():
+        for j in range(F.n):
+            if idx[j] == 0:
+                continue
+            prev = idx[:j] + (idx[j] - 1,) + idx[j + 1:]
+            if not values[prev] <= values[idx]:
+                witness = {"axis": j, "lower": cell_doc(prev), "upper": cell_doc(idx)}
+                out["monotone"] = (False, witness)
+                break
+        if not out["monotone"][0]:
+            break
     zero = F.signature.zero
     for idx in product(*[range(1, m + 1) for m in F.shape]):
         box = bounds(idx, range(F.n))
@@ -202,3 +253,29 @@ def reference_ascii_rows(F, points, width=60, height=24) -> list[str]:
         r = min(height - 1, max(0, int((ymax - py) / dy)))
         rows[r][c] = "*"
     return ["".join(row) for row in rows]
+
+
+# Reference random suite region: one ``halfopen_box`` per draw, degenerate
+# draws included, chained with ``union`` on the region built so far.
+
+
+def reference_random_grid_region(rng, F) -> Region:
+    """Union of one to three grid-aligned half-open boxes, drawn from ``rng``
+    in the order ``verify`` draws them."""
+    coords = []
+    for j in range(F.n):
+        bs = F.breakpoints[j]
+        coords.append([bs[0] - 1] + list(bs) + [bs[-1] + 1])
+    region = Region.empty(F.n)
+    for _ in range(rng.randint(1, 3)):
+        bounds_lo = []
+        bounds_hi = []
+        for j in range(F.n):
+            a = rng.choice(coords[j])
+            b = rng.choice(coords[j])
+            if a > b:
+                a, b = b, a
+            bounds_lo.append(a)
+            bounds_hi.append(b)
+        region = union(region, halfopen_box(bounds_lo, bounds_hi))
+    return region

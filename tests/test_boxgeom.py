@@ -36,7 +36,7 @@ from lexspec.lexalg import AlgebraSignature, LexElement
 from lexspec.spectral import from_cells, from_observable
 from lexspec.verify import SplitMix64, TrialConfig, random_observable
 
-from oracles import region_equal
+from oracles import reference_cell_box, region_equal
 
 
 def box(*intervals):
@@ -375,7 +375,7 @@ class TestCellRegion:
             sig, len(breakpoints), breakpoints,
             {idx: sig.zero for idx in product(*[range(len(bs) + 1) for bs in breakpoints])},
         )
-        want = Region(len(breakpoints), [grid_F.cell_box(idx) for idx in cells])
+        want = Region(len(breakpoints), [reference_cell_box(grid_F, idx) for idx in cells])
         got = cell_region(grid_F.breakpoints, cells)
         assert got.n == want.n and got.boxes == want.boxes
 
@@ -384,7 +384,7 @@ class TestCellRegion:
     def test_duplicates_and_top_cells_in_n_up_to_4(self, grid):
         breakpoints, cells = grid
         grid_F = _zero_grid(breakpoints)
-        want = Region(len(breakpoints), [grid_F.cell_box(idx) for idx in cells])
+        want = Region(len(breakpoints), [reference_cell_box(grid_F, idx) for idx in cells])
         got = cell_region(grid_F.breakpoints, iter(cells))
         assert got.n == want.n and got.boxes == want.boxes
 
@@ -394,7 +394,7 @@ class TestCellRegion:
         values = F.values
         for i in levels:
             cells = [idx for idx in F.cells() if values[idx].h == i]
-            assert decomp.regions[i] == Region(F.n, [F.cell_box(idx) for idx in cells])
+            assert decomp.regions[i] == Region(F.n, [reference_cell_box(F, idx) for idx in cells])
         for a, i in enumerate(levels):
             for j in levels[a + 1:]:
                 assert intersect(decomp.regions[i], decomp.regions[j]).is_empty()

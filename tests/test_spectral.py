@@ -40,6 +40,7 @@ from lexspec.verify import SplitMix64, TrialConfig, mismatch_resolution, random_
 
 from oracles import (
     oracle_difference_statuses,
+    reference_cell_box,
     reference_partial_delta,
     reference_point_mass,
     reference_volume,
@@ -237,6 +238,21 @@ class TestFromCells:
         with pytest.raises(ResolutionError, match="increasing"):
             from_cells(sig, 2, ((Q(2), Q(1)), (Q(1),)), {})
 
+    def test_cell_boxes_are_the_axis_intervals(self):
+        rng = SplitMix64(12)
+        sig = AlgebraSignature(1, 1)
+        for n in (1, 2, 3):
+            for _ in range(60):
+                breaks = []
+                for _ in range(n):
+                    count = rng.randint(1, 4)
+                    ends = {Q(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(count)}
+                    breaks.append(sorted(ends))
+                cells = product(*[range(len(bs) + 1) for bs in breaks])
+                F = from_cells(sig, n, breaks, dict.fromkeys(cells, sig.zero))
+                for idx in F.cells():
+                    assert F.cell_box(idx) == reference_cell_box(F, idx)
+
 
 class TestCheckAxioms:
     def test_observable_derived_passes(self):
@@ -340,23 +356,51 @@ def _perturbed(rng: SplitMix64, F: StepResolution) -> StepResolution:
     return from_cells(sig, F.n, F.breakpoints, values)
 
 
+def _signed_table(rng: SplitMix64, n: int, k: int = 3) -> StepResolution:
+    """Level table on a grid with two breakpoints per axis: the sum of the
+    weights at rank vectors at or below each cell, for k weights of height 1
+    and one to three pairs of weights -(0, 1) and (0, 1).  Draws with a value
+    outside [0, u] are drawn again, so differences along some axis sets go
+    negative while the values stay in range."""
+    sig = AlgebraSignature(k, 1)
+    while True:
+        weights = [(1, rng.randint(-1, 1)) for _ in range(k)]
+        weights += [(0, g) for g in (-1, 1) * rng.randint(1, 3)]
+        ranks = [tuple(rng.randint(1, 2) for _ in range(n)) for _ in weights]
+        values = {}
+        for idx in product(range(3), repeat=n):
+            below = [w for w, r in zip(weights, ranks) if all(a <= b for a, b in zip(r, idx))]
+            values[idx] = LexElement(sig, sum(h for h, _ in below), (sum(g for _, g in below),))
+        if all(map(in_unit_interval, values.values())):
+            return from_cells(sig, n, [(Q(1), Q(2))] * n, values)
+
+
 class TestVolumeReductionOracle:
     """The atomic-box reduction in check_axioms against brute-force enumeration."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_difference_statuses_match_corner_sums(self, n):
         cfg = TrialConfig(
-            seed=n, trials=0, k_range=(1, 3), d_range=(1, 1), n_range=(n, n), max_atoms=4
+            seed=n, trials=0, k_range=(1, 3), d_range=(1, 1), n_range=(min(n, 3),) * 2,
+            max_atoms=4,
         )
         rng = SplitMix64(40 + n)
         verdicts = {}
+        pd_sizes, drop_axes = set(), set()
         for i in range(60):
-            F = _perturbed(rng, from_observable(random_observable(cfg, i)))
+            # random_observable stops at n = 3; n = 4 takes signed level tables
+            F = _perturbed(
+                rng, from_observable(random_observable(cfg, i)) if n < 4 else _signed_table(rng, n)
+            )
             statuses = check_axioms(F).statuses
             for name, want in oracle_difference_statuses(F).items():
                 assert (statuses[name].ok, statuses[name].witness) == want
             for name, status in statuses.items():
                 verdicts.setdefault(name, set()).add(status.ok)
+            if not statuses["monotone"].ok:
+                drop_axes.add(statuses["monotone"].witness["axis"])
+            if n > 1 and not statuses["partial_delta_nonneg"].ok:
+                pd_sizes.add(len(statuses["partial_delta_nonneg"].witness["axes"]))
             # the masses are the first differences; summing them back gives F
             masses = dict(F.table)
             _sweep(masses, F.shape, range(F.n), diff=True)
@@ -369,6 +413,8 @@ class TestVolumeReductionOracle:
         if n > 1:
             checked.append("partial_delta_nonneg")
         assert all(verdicts[name] == {True, False} for name in checked), verdicts
+        # each axis set size, and each axis, gives a first witness somewhere
+        assert pd_sizes == set(range(1, n)) and drop_axes == set(range(n))
 
     def test_nonnegativity_verdicts_agree(self):
         rng = SplitMix64(99)

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st, target
 
+from lexspec import cli
 from lexspec.charpoints import (
     MismatchReport,
     NotReconstructibleError,
@@ -26,6 +27,7 @@ from lexspec.spectral import check_axioms, eval_F, from_cells, from_observable, 
 from lexspec.verify import (
     SplitMix64,
     TrialConfig,
+    _random_grid_region,
     mismatch_resolution,
     pathological_family,
     random_observable,
@@ -33,6 +35,8 @@ from lexspec.verify import (
     saturating_family,
     trial_rng,
 )
+
+from oracles import reference_random_grid_region
 
 
 class TestSplitMix64:
@@ -277,6 +281,25 @@ def _count_axiom_checks(monkeypatch) -> list:
     return calls
 
 
+class TestRandomGridRegion:
+    def test_matches_the_chained_unions(self):
+        """Same draws, same region and same generator state as one ``union`` per
+        box; one-atom grids leave three coordinates per axis, so boxes are
+        often degenerate and a region is sometimes empty."""
+        empty = 0
+        for n in (1, 2, 3):
+            cfg = TrialConfig(seed=n, trials=0, n_range=(n, n))
+            for i in range(40):
+                F = from_observable(random_observable(cfg, i))
+                for seed in range(5):
+                    got_rng, want_rng = SplitMix64(seed), SplitMix64(seed)
+                    got = _random_grid_region(got_rng, F)
+                    assert got == reference_random_grid_region(want_rng, F)
+                    assert got_rng.next_u64() == want_rng.next_u64()
+                    empty += got.is_empty()
+        assert empty > 0
+
+
 class TestAxiomCheckCount:
     def test_one_check_per_suite_trial(self, monkeypatch):
         calls = _count_axiom_checks(monkeypatch)
@@ -289,6 +312,12 @@ class TestAxiomCheckCount:
         calls = _count_axiom_checks(monkeypatch)
         assert isinstance(reconstruct(mismatch_resolution()), MismatchReport)
         assert calls == []
+
+    def test_one_check_per_example(self, monkeypatch, capsys):
+        calls = _count_axiom_checks(monkeypatch)
+        assert cli.main(["example", "3.7/7"]) == 0
+        assert "T_0 = " in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestRunSuite:
