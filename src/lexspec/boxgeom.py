@@ -18,6 +18,8 @@ Regions on a left-open right-closed breakpoint grid (:func:`cell_region`)
 merge the grid cells themselves: on an axis with m breakpoints, the run of
 cells r0 .. r1 is the run of pieces 2r0 .. min(2r1+1, 2m), a map strictly
 increasing in both ends, so the boxes and their order are the piece-level ones.
+Every run is nonempty on sorted distinct values, so its interval is valid
+by construction and skips the validation of public ``Interval(...)``.
 """
 
 from __future__ import annotations
@@ -193,11 +195,20 @@ def _grid(
     return values, cell_sets
 
 
+# Slot setters of the frozen Interval, for intervals valid by construction.
+_set_lo, _set_lo_closed = Interval.lo.__set__, Interval.lo_closed.__set__
+_set_hi, _set_hi_closed = Interval.hi.__set__, Interval.hi_closed.__set__
+
+
 def _run_interval(vals: Sequence[Fraction], lo: int, hi: int) -> Interval:
-    """The interval covered by the pieces ``lo`` .. ``hi`` of ``vals``."""
-    lo_end = NEG_INF if lo == 0 else vals[(lo - 1) // 2]
-    hi_end = POS_INF if hi == 2 * len(vals) else vals[hi // 2]
-    return Interval(lo_end, lo % 2 == 1, hi_end, hi % 2 == 1)
+    """The interval covered by the nonempty run of pieces ``lo`` .. ``hi`` of
+    ``vals``, built without ``Interval.__post_init__``."""
+    iv = object.__new__(Interval)
+    _set_lo(iv, NEG_INF if lo == 0 else vals[(lo - 1) // 2])
+    _set_lo_closed(iv, lo % 2 == 1)
+    _set_hi(iv, POS_INF if hi == 2 * len(vals) else vals[hi // 2])
+    _set_hi_closed(iv, hi % 2 == 1)
+    return iv
 
 
 def _merged_runs(n: int, cells: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -28,13 +28,13 @@ from .spectral import (
     CellIndex,
     StepResolution,
     _element,
-    _induced_values,
+    _placed,
     check_axioms,
 )
 
 
 class CharPointError(ValueError):
-    """Projection of a level-0 point, or an unsupported dimension."""
+    """An unsupported dimension, or a point off the grid."""
 
 
 class ReconstructionError(ValueError):
@@ -48,42 +48,9 @@ class NotReconstructibleError(ReconstructionError):
 ExtPoint = tuple[ExtRat, ...]
 
 
-def _level(F: StepResolution, idx: CellIndex) -> int:
-    return F.table[idx][0]
-
-
-def _run_start(F: StepResolution, idx: CellIndex, axis: int) -> int:
-    """Lowest axis index reachable from ``idx`` through cells of equal level."""
-    i = _level(F, idx)
-    r = idx[axis]
-    probe = list(idx)
-    while r > 0:
-        probe[axis] = r - 1
-        if _level(F, tuple(probe)) != i:
-            break
-        r -= 1
-    return r
-
-
 def _point(breakpoints: Sequence[Sequence[Fraction]], starts: Sequence[int]) -> ExtPoint:
     """The breakpoint below each run start; start 0 stands for -inf."""
     return tuple(bs[r - 1] if r else NEG_INF for bs, r in zip(breakpoints, starts))
-
-
-def projection(F: StepResolution, point: Sequence[Fraction], axis: int) -> ExtRat:
-    """Infimum of the axis run of the level set through ``point``."""
-    cp = char_point(F, point)
-    if not 0 <= axis < F.n:
-        raise CharPointError(f"axis {axis} out of range for dimension {F.n}")
-    return cp[axis]
-
-
-def char_point(F: StepResolution, point: Sequence[Fraction]) -> ExtPoint:
-    """Vector of per-axis projections of ``point`` within its level set."""
-    idx = F.cell_of_point(point)
-    if _level(F, idx) == 0:
-        raise CharPointError(f"point {point} lies in the level-0 set; no projection")
-    return _point(F.breakpoints, [_run_start(F, idx, j) for j in range(F.n)])
 
 
 def format_ext_point(p: ExtPoint) -> str:
@@ -197,8 +164,8 @@ def level_regions(F: StepResolution) -> LevelDecomposition:
 def _level_regions(F: StepResolution) -> dict[int, Region]:
     """The region of each level 0..k, without an axiom check."""
     cells: dict[int, list[CellIndex]] = {i: [] for i in range(F.signature.k + 1)}
-    for idx in F.cells():
-        cells[_level(F, idx)].append(idx)
+    for idx, t in F.table.items():
+        cells[t[0]].append(idx)
     return {i: cell_region(F.breakpoints, cs) for i, cs in cells.items()}
 
 
@@ -222,40 +189,57 @@ def all_blocks(F: StepResolution) -> BlockReport:
 
 
 def _blocks(F: StepResolution) -> list[Block]:
-    """Every block, by level and then run starts; no axiom check."""
-    # Keyed by the run starts, which determine the characteristic point and
-    # sort in its order.  In cell order the neighbour below along each axis
-    # comes first, so a run start is that neighbour's when it has equal level.
-    groups: dict[tuple[int, tuple[int, ...]], list[CellIndex]] = {}
-    starts_of: dict[CellIndex, tuple[int, ...]] = {}
-    for idx in F.cells():
-        i = _level(F, idx)
-        if i == 0:
-            continue
-        starts = []
-        for j, r in enumerate(idx):
-            below = idx[:j] + (r - 1,) + idx[j + 1 :]
-            starts.append(starts_of[below][j] if r and _level(F, below) == i else r)
-        starts_of[idx] = starts = tuple(starts)
-        groups.setdefault((i, starts), []).append(idx)
+    """Every block, by level and then run starts; no axiom check.
+
+    The grid is read once into lists in ``F.cells()`` order.  One pass per
+    axis j walks every axis-j line upward, one stride at a time: a cell of the
+    level of the cell below continues its run, any other starts a run at its
+    own index and lands on the level below.  Blocks are keyed by run starts,
+    which determine the characteristic point and sort in its order.
+    """
+    cells = list(F.cells())
+    table = F.table
+    values = [table[idx] for idx in cells]
+    levels = [t[0] for t in values]
+    total = len(levels)
+    starts_by_axis: list[list[int]] = []
+    landing_by_axis: list[list[int]] = []
+    stride = total
+    for m in F.shape:
+        stride //= m + 1
+        span = stride * (m + 1)
+        start = [r for r in range(m + 1) for _ in range(stride)] * (total // span)
+        land = [0] * total  # read only where the run starts above index 0
+        for base in range(0, total, span):
+            for p in range(base + stride, base + span):
+                q = p - stride
+                if levels[q] == levels[p]:
+                    start[p] = start[q]
+                    land[p] = land[q]
+                else:
+                    land[p] = levels[q]
+        starts_by_axis.append(start)
+        landing_by_axis.append(land)
+
+    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for p, key in enumerate(zip(levels, zip(*starts_by_axis))):
+        if key[0]:
+            groups.setdefault(key, []).append(p)
 
     found: list[Block] = []
     for (i, starts), members in sorted(groups.items()):
-        cells = tuple(members)  # F.cells() runs in sorted order
-        flags: list[str] = []
-        if 0 in starts:
-            flags.append("minus_infinity_projection")
+        flags = ["minus_infinity_projection"] if 0 in starts else []
 
         # Landing level per axis: the level at the point with that coordinate
         # replaced by its projection.  Must be consistent across members and
         # strictly below the block level for well-behaved resolutions.
         landing: list[int | None] = []
         adjoined = 0 not in starts
-        for j, r0 in enumerate(starts):
+        for j, (r0, land) in enumerate(zip(starts, landing_by_axis)):
             if r0 == 0:
                 landing.append(None)
                 continue
-            seen = {_level(F, idx[:j] + (r0 - 1,) + idx[j + 1 :]) for idx in cells}
+            seen = {land[p] for p in members}
             if len(seen) > 1:
                 flags.append(f"inconsistent_landing_axis_{j}")
                 landing.append(None)
@@ -263,25 +247,19 @@ def _blocks(F: StepResolution) -> list[Block]:
             else:
                 lv = seen.pop()
                 landing.append(lv)
-                if lv != 0:
-                    adjoined = False
+                adjoined = adjoined and lv == 0
                 if lv >= i:
                     flags.append(f"landing_not_below_axis_{j}")
 
         # The characteristic point is the upper corner of the cell below the starts.
-        cp_level = None if 0 in starts else _level(F, tuple(r - 1 for r in starts))
+        cp_level = None if 0 in starts else table[tuple(r - 1 for r in starts)][0]
 
         # Every member has height i, so the meet is the componentwise minimum.
-        g = tuple(map(min, zip(*(F.table[idx][1:] for idx in cells))))
+        g = tuple(map(min, zip(*(values[p][1:] for p in members))))
         infimum = LexElement(F.signature, i, g)
-        found.append(Block(
-            i, starts, cells, F.breakpoints, tuple(landing), cp_level, adjoined, infimum, tuple(flags)
-        ))
+        found.append(Block(i, starts, tuple(cells[p] for p in members), F.breakpoints,
+                           tuple(landing), cp_level, adjoined, infimum, tuple(flags)))
     return found
-
-
-def blocks(F: StepResolution, level: int) -> tuple[Block, ...]:
-    return all_blocks(F).levels.get(level, ())
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -311,8 +289,8 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     """Invert the resolution from its T_0-adjoined blocks, if possible.
 
     Places each adjoined block's infimum at its characteristic point; when the
-    infima sum to the unit, the induced observable is verified cell by cell
-    against ``F``.  A verified match returns the observable; a failed
+    infima sum to the unit, the induced observable's masses are compared with
+    those of ``F``.  A verified match returns the observable; a failed
     verification returns a :class:`MismatchReport` naming the first differing
     cell.  Infima that do not sum to the unit raise
     :class:`NotReconstructibleError`.  Adjoined blocks have every run start
@@ -336,18 +314,20 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
         raise NotReconstructibleError(str(exc)) from exc
 
     # Adjoined characteristic points are breakpoint vectors of F, so the
-    # candidate's resolution lives on F's own grid.
-    induced = _induced_values(candidate, F.breakpoints)
-    for idx in F.cells():
-        if induced[idx] != F.table[idx]:
-            return MismatchReport(
-                candidate=candidate,
-                witness_point=F.cell_rep(idx),
-                witness_cell=str(F.cell_box(idx)),
-                value_f=_element(F.signature, F.table[idx]),
-                value_candidate=_element(F.signature, induced[idx]),
-            )
-    return candidate
+    # candidate's masses live on F's own grid; equal masses mean equal
+    # resolutions, and the induced table only names the first differing cell.
+    placed = _placed(candidate, F.breakpoints)
+    if placed == F.masses:
+        return candidate
+    induced = StepResolution(F.signature, F.n, F.breakpoints, masses=placed).table
+    idx = next(idx for idx in F.cells() if induced[idx] != F.table[idx])
+    return MismatchReport(
+        candidate=candidate,
+        witness_point=F.cell_rep(idx),
+        witness_cell=str(F.cell_box(idx)),
+        value_f=_element(F.signature, F.table[idx]),
+        value_candidate=_element(F.signature, induced[idx]),
+    )
 
 
 # --- combinatorial checks ------------------------------------------------------
@@ -449,28 +429,6 @@ def rays_check(F: StepResolution, point: ExtPoint) -> RaysResult:
                 },
             )
     return RaysResult(True)
-
-
-def max_antichain(report: BlockReport) -> int | None:
-    """Largest pairwise-incomparable set of characteristic points (n = 2 only).
-
-    Returns None for other dimensions.
-    """
-    if report.n != 2:
-        return None
-    # Run starts order like the points: sorted by (x asc, y asc), an antichain
-    # is strictly x-increasing and y-decreasing, so a quadratic pass suffices
-    # at these sizes.
-    pts = report.point_starts
-    if not pts:
-        return 0
-    best = [1] * len(pts)
-    for i, (xi, yi) in enumerate(pts):
-        for j in range(i):
-            xj, yj = pts[j]
-            if xj < xi and yj > yi:
-                best[i] = max(best[i], best[j] + 1)
-    return max(best)
 
 
 def block_cube_check(F: StepResolution, report: BlockReport) -> tuple[bool, dict | None]:

@@ -126,12 +126,27 @@ def _encode_element(a: LexElement) -> dict:
     return {"h": a.h, "g": list(a.g)}
 
 
-def _decode_element(doc, signature: AlgebraSignature) -> LexElement:
+def _decode_list(v) -> list:
+    """A JSON array; a string would be read one character at a time."""
+    if not isinstance(v, list):
+        raise ObservableError(f"not a list: {v!r}")
+    return v
+
+
+def _decode_flat(doc, d: int) -> tuple[int, ...]:
+    """An element document as the flat tuple (h, g_1, ..., g_d)."""
     try:
-        g = tuple(_decode_int(x) for x in doc["g"])
-        return LexElement(signature, _decode_int(doc["h"]), g)
+        g = [_decode_int(x) for x in _decode_list(doc["g"])]
+        if len(g) != d:
+            raise ObservableError(f"g has {len(g)} components, expected {d}")
+        return (_decode_int(doc["h"]), *g)
     except (KeyError, TypeError, ValueError) as exc:
         raise ObservableError(f"bad element document: {doc!r}") from exc
+
+
+def _decode_element(doc, signature: AlgebraSignature) -> LexElement:
+    t = _decode_flat(doc, signature.d)
+    return LexElement(signature, t[0], t[1:])
 
 
 def observable_to_doc(x: DiscreteObservable) -> dict:
@@ -153,10 +168,10 @@ def observable_from_doc(doc: dict) -> DiscreteObservable:
         n = _decode_int(doc["n"])
         atoms = [
             (
-                [_decode_rational(c) for c in item["point"]],
+                [_decode_rational(c) for c in _decode_list(item["point"])],
                 _decode_element(item["weight"], signature),
             )
-            for item in doc["atoms"]
+            for item in _decode_list(doc["atoms"])
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ObservableError(f"bad observable document: {exc}") from exc

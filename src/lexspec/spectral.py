@@ -7,11 +7,12 @@ continuous by construction.  Monotonicity, the boundary values, and the
 nonnegative-increment (volume) conditions are checkable facts, not type
 invariants, so pathological resolutions can be represented and studied.
 
-A resolution stores each cell value once, as a flat integer tuple
-``(h, g_1, ..., g_d)`` in ``F.table``, converted with one signature check when
-it is built.  Prefix sums, first differences, corner sums and comparisons are
-integer operations on those tuples; ``LexElement`` objects are built only for
-what is returned (``eval_F``, volumes, witnesses, and ``F.values``).
+F at a cell is the sum of the atomic masses at or below it.  A resolution
+stores what it was built from, the value table ``F.table`` (from cells) or
+the sparse map ``F.masses`` of nonzero masses (from an observable), and
+derives the other on first read with one :func:`_sweep`.  Both hold flat
+integer tuples ``(h, g_1, ..., g_d)``; ``LexElement`` objects are built only
+for what is returned (``eval_F``, volumes, witnesses, and ``F.values``).
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from .lexalg import (
     AlgebraSignature,
     LexElement,
     group_add,
-    in_unit_interval,
 )
 from .observable import (
     DiscreteObservable,
     ObservableError,
-    _decode_element,
+    _decode_flat,
     _decode_int,
+    _decode_list,
     _decode_rational,
     _encode_rational,
     make_observable,
@@ -54,23 +55,45 @@ Flat = tuple[int, ...]  # an element (h, g) as the flat tuple (h, g_1, ..., g_d)
 
 
 class StepResolution:
-    """A total map from grid cells to algebra elements, stored in ``table`` as
-    flat tuples; ``values`` builds a new ``{index: LexElement}`` dict on each
-    access.  Build with :func:`from_cells` or :func:`from_observable`."""
+    """A total map from grid cells to algebra elements: every cell's value in
+    ``table`` and the nonzero masses in ``masses``, as flat tuples.  One of
+    the two is passed in, the other derived on first read.  ``values`` builds
+    a new ``{index: LexElement}`` dict on each access.  Build with
+    :func:`from_cells` or :func:`from_observable`."""
 
-    __slots__ = ("signature", "n", "breakpoints", "table")
+    __slots__ = ("signature", "n", "breakpoints", "_table", "_masses")
 
     def __init__(
         self,
         signature: AlgebraSignature,
         n: int,
         breakpoints: Sequence[Sequence[Fraction]],
-        table: Mapping[CellIndex, Flat],
+        table: Mapping[CellIndex, Flat] | None = None,
+        masses: Mapping[CellIndex, Flat] | None = None,
     ) -> None:
         self.signature = signature
         self.n = n
         self.breakpoints = tuple(tuple(Fraction(b) for b in axis) for axis in breakpoints)
-        self.table = dict(table)
+        self._table = None if table is None else dict(table)
+        self._masses = None if masses is None else dict(masses)
+
+    @property
+    def table(self) -> dict[CellIndex, Flat]:
+        """Every cell's value: the masses prefix-summed over all axes."""
+        if self._table is None:
+            self._table = dict.fromkeys(self.cells(), (0,) * (self.signature.d + 1))
+            self._table.update(self._masses)
+            _sweep(self._table, self.shape, range(self.n))
+        return self._table
+
+    @property
+    def masses(self) -> dict[CellIndex, Flat]:
+        """The nonzero atomic masses: ``table`` differenced over all axes."""
+        if self._masses is None:
+            diffs = dict(self._table)
+            _sweep(diffs, self.shape, range(self.n), diff=True)
+            self._masses = {idx: t for idx, t in diffs.items() if any(t)}
+        return self._masses
 
     @property
     def values(self) -> dict[CellIndex, LexElement]:
@@ -128,6 +151,18 @@ def from_cells(
     Shapes must be consistent and every value must lie in ``[0, u]``; anything
     beyond that is left to :func:`check_axioms`.
     """
+    foreign = next((idx for idx, v in values.items() if v.signature != signature), None)
+    if foreign is not None:
+        raise ResolutionError(f"cell {foreign} value has a foreign signature")
+    table = {idx: (v.h, *v.g) for idx, v in values.items()}
+    return _checked_table(signature, n, breakpoints, table)
+
+
+def _checked_table(
+    signature: AlgebraSignature, n: int, breakpoints: Sequence[Sequence[Fraction]], table: dict
+) -> StepResolution:
+    """The resolution with the flat value table ``table``, once the grid, the
+    cell map and every value in ``[0, u]`` pass."""
     if n < 1:
         raise ResolutionError(f"dimension must be >= 1, got {n}")
     if len(breakpoints) != n:
@@ -144,20 +179,18 @@ def from_cells(
     # grid; the grid itself is never built, as it may be far larger than the map.
     shape = [len(bs) for bs in norm_breaks]
     extra = sorted(
-        idx for idx in values
+        idx for idx in table
         if len(idx) != n or not all(0 <= r <= m for r, m in zip(idx, shape))
     )
-    if extra or len(values) != prod(m + 1 for m in shape):
+    if extra or len(table) != prod(m + 1 for m in shape):
         cells = product(*[range(m + 1) for m in shape])
-        missing = list(islice((idx for idx in cells if idx not in values), 3))
+        missing = list(islice((idx for idx in cells if idx not in table), 3))
         raise ResolutionError(f"cell map mismatch: missing {missing}, extra {extra[:3]}")
-    for idx, v in values.items():
-        if v.signature != signature:
-            raise ResolutionError(f"cell {idx} value has a foreign signature")
-        if not in_unit_interval(v):
-            raise ResolutionError(f"cell {idx} value {v} lies outside [0, u]")
-    table = {idx: (v.h, *v.g) for idx, v in values.items()}
-    return StepResolution(signature, n, norm_breaks, table)
+    k = signature.k
+    for idx, t in table.items():
+        if not _nonneg(t) or t[0] > k or (t[0] == k and max(t[1:]) > 0):  # 0 <= t <= u
+            raise ResolutionError(f"cell {idx} value {_element(signature, t)} lies outside [0, u]")
+    return StepResolution(signature, n, norm_breaks, table=table)
 
 
 # Largest dense grid from_observable builds: (m+1)^n cells for m atoms in
@@ -170,8 +203,8 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
 
     Breakpoints are the distinct atom coordinates per axis; the value on a
     cell is the sum of the weights of atoms strictly dominated by any (hence
-    every) point of the cell.  Grids above ``MAX_DENSE_CELLS`` cells are
-    refused before any cell is built.
+    every) point of the cell; the placed weights are its masses.  Grids above
+    ``MAX_DENSE_CELLS`` cells are refused before anything is placed.
     """
     breaks = tuple(
         tuple(sorted({a.point[j] for a in x.atoms})) for j in range(x.n)
@@ -181,7 +214,7 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
         raise ResolutionError(
             f"dense grid of {cells} cells exceeds the limit of {MAX_DENSE_CELLS}"
         )
-    return StepResolution(x.signature, x.n, breaks, _induced_values(x, breaks))
+    return StepResolution(x.signature, x.n, breaks, masses=_placed(x, breaks))
 
 
 def _flat(v: LexElement, signature: AlgebraSignature) -> Flat:
@@ -199,20 +232,14 @@ def _nonneg(t: Flat) -> bool:
     return t[0] > 0 or (t[0] == 0 and min(t) >= 0)
 
 
-def _induced_values(
-    x: DiscreteObservable, breaks: Sequence[Sequence[Fraction]]
-) -> dict[CellIndex, Flat]:
-    """Flat cell values of the resolution of ``x`` on a grid whose breakpoints
-    include every atom coordinate: each weight is placed at its rank vector,
-    then prefix-summed along every axis."""
-    shape = tuple(len(bs) for bs in breaks)
-    zero = _flat(x.signature.zero, x.signature)
-    values = dict.fromkeys(product(*[range(m + 1) for m in shape]), zero)
-    for atom in x.atoms:
-        rank = tuple(bisect_left(breaks[j], atom.point[j]) + 1 for j in range(x.n))
-        values[rank] = tuple(map(add, values[rank], _flat(atom.weight, x.signature)))
-    _sweep(values, shape, range(x.n))
-    return values
+def _placed(x: DiscreteObservable, breaks: Sequence[Sequence[Fraction]]) -> dict[CellIndex, Flat]:
+    """The masses of ``x`` on a grid whose breakpoints include every atom
+    coordinate: each weight, nonzero, at the rank vector of its point."""
+    sig = x.signature
+    return {
+        tuple(bisect_left(bs, c) + 1 for bs, c in zip(breaks, a.point)): _flat(a.weight, sig)
+        for a in x.atoms
+    }
 
 
 def _sweep(
@@ -243,20 +270,15 @@ def _sweep(
 
 
 def to_observable(F: StepResolution) -> DiscreteObservable:
-    """The observable whose resolution is ``F``: each nonzero atomic mass (a
-    first difference over all axes) placed at the lower breakpoint vector of
-    its cell.
+    """The observable whose resolution is ``F``: each nonzero atomic mass
+    placed at the lower breakpoint vector of its cell.
 
     A border cell (index 0 on some axis) with nonzero mass has no lower
     breakpoint vector and raises :class:`ResolutionError`; masses outside
     ``[0, u]`` or not summing to the unit raise :class:`ObservableError`.
     """
-    masses = dict(F.table)
-    _sweep(masses, F.shape, range(F.n), diff=True)
     atoms = []
-    for idx, t in masses.items():
-        if not any(t):
-            continue
+    for idx, t in F.masses.items():
         if 0 in idx:
             raise ResolutionError(
                 f"border cell {idx} carries mass {_element(F.signature, t)}, "
@@ -396,87 +418,82 @@ class AxiomReport:
         }
 
 
-def _cell_doc(F: StepResolution, idx: CellIndex) -> dict:
-    value = _element(F.signature, F.table[idx])
+def _cell_doc(F: StepResolution, idx: CellIndex, t: Flat) -> dict:
+    value = _element(F.signature, t)
     return {"index": list(idx), "cell": str(F.cell_box(idx)), "value": str(value)}
 
 
 def check_axioms(F: StepResolution) -> AxiomReport:
     """Check the spectral-resolution conditions on the whole grid.
 
-    Each difference status scans one table per axis set S, the difference of
-    F along S at every cell (its masses summed along the other axes).  A table
-    is built on first use, and its scan is shared between statuses.
+    Every value and difference of F is a sum of masses, so the masses settle
+    the first four statuses without the value table:
 
-    * monotone: F never decreases from a cell to the next along any axis, by
-      the tables of the single axes;
+    * top_unit: the all-maximal cell carries the unit (the value at +inf):
+      the sum of all masses;
     * bottom_zero: cells minimal along some axis carry 0 (the value of F at
-      -inf along each variable);
-    * top_unit: the all-maximal cell carries the unit (the value at +inf);
+      -inf along each variable).  They sum border masses (index 0 on some
+      axis) alone, so the first nonzero one is the least border mass cell;
     * left_continuity: structural, by the left-open right-closed cells;
     * volume_nonneg: every grid-aligned half-open box has nonnegative volume.
       By additivity of the corner sum this holds iff every atomic one-cell
-      box does, so only the masses (S = all axes) are scanned; a failing
-      atomic box is itself a witness box.  Together with bottom_zero and
-      top_unit it also bounds every box volume by the unit;
+      box does, that is every mass off the border; a failing atomic box is
+      itself a witness box.  With bottom_zero and top_unit it also bounds
+      every box volume by the unit;
+    * monotone: F never decreases from a cell to the next along any axis;
     * partial_delta_nonneg: same reduction for every proper nonempty subset
       of axes with the remaining coordinates fixed anywhere on the grid.
+
+    The last two hold when no mass is negative; otherwise they scan one table
+    per axis set S, F differenced along S (single axes for monotone), built
+    from ``F.table`` on first use.
     """
     report = AxiomReport()
     sig = F.signature
     shape = F.shape
-    values = F.table
-    zero = _flat(sig.zero, sig)
+    masses = F.masses
     all_axes = tuple(range(F.n))
-
-    masses = dict(values)
-    _sweep(masses, shape, all_axes, diff=True)
+    negative = sorted(idx for idx, t in masses.items() if not _nonneg(t))
 
     @cache
     def first_negative(axes: tuple[int, ...]) -> tuple[CellIndex, Flat] | None:
         """First negative entry of F differenced along ``axes``, in ``product``
         order, with its index; indices run from 1 on ``axes``, where a
-        difference needs the cell below.  The table is dropped after the scan."""
-        table = masses
-        if axes != all_axes:
-            table = dict(values)
-            _sweep(table, shape, axes, diff=True)
+        difference needs the cell below.  A table is dropped after its scan."""
+        if axes == all_axes:
+            return next(((idx, masses[idx]) for idx in negative if 0 not in idx), None)
+        table = dict(F.table)
+        _sweep(table, shape, axes, diff=True)
         ranges = [range(1 if j in axes else 0, m + 1) for j, m in enumerate(shape)]
         return next(
             ((idx, table[idx]) for idx in product(*ranges) if not _nonneg(table[idx])), None
         )
 
-    # Every difference of F along some axes is a sum of masses, so with all
-    # masses nonnegative every difference status holds; their scans run only
-    # when a witness may exist.
-    masses_nonneg = all(map(_nonneg, masses.values()))
-
     mono = AxiomStatus(True)
     # Each axis's first decrease is its least index, so the least (index,
     # axis) pair is the first decrease in F.cells() order, axes in order.
     drops = sorted(
-        (neg[0], j) for j in (() if masses_nonneg else all_axes)
+        (neg[0], j) for j in (all_axes if negative else ())
         if (neg := first_negative((j,)))
     )
     if drops:
         idx, j = drops[0]
         prev = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
-        witness = {"axis": j, "lower": _cell_doc(F, prev), "upper": _cell_doc(F, idx)}
-        mono = AxiomStatus(False, witness=witness)
+        lower, upper = (_cell_doc(F, c, F.table[c]) for c in (prev, idx))
+        mono = AxiomStatus(False, witness={"axis": j, "lower": lower, "upper": upper})
     report.statuses["monotone"] = mono
 
-    bottom = AxiomStatus(True)
-    for idx in F.cells():
-        if 0 in idx and values[idx] != zero:
-            bottom = AxiomStatus(False, witness=_cell_doc(F, idx))
-            break
-    report.statuses["bottom_zero"] = bottom
+    border = min((idx for idx in masses if 0 in idx), default=None)
+    report.statuses["bottom_zero"] = AxiomStatus(
+        border is None,
+        witness=None if border is None else _cell_doc(F, border, masses[border]),
+    )
 
-    top_idx = shape
-    top_ok = values[top_idx] == _flat(sig.unit, sig)
+    top = tuple(map(sum, zip(*masses.values()))) or _flat(sig.zero, sig)
+    top_ok = top == _flat(sig.unit, sig)
     report.statuses["top_unit"] = AxiomStatus(
         top_ok,
-        witness=None if top_ok else _cell_doc(F, top_idx),
+        witness=None if top_ok else _cell_doc(F, shape, top),
     )
 
     report.statuses["left_continuity"] = AxiomStatus(
@@ -484,7 +501,7 @@ def check_axioms(F: StepResolution) -> AxiomReport:
     )
 
     vol = AxiomStatus(True, note="checked on atomic boxes; additivity covers the rest")
-    neg = None if masses_nonneg else first_negative(all_axes)
+    neg = first_negative(all_axes)
     if neg:
         bad, mass = neg
         ends = zip(F.breakpoints, bad, F.cell_rep(bad))
@@ -504,7 +521,7 @@ def check_axioms(F: StepResolution) -> AxiomReport:
     else:
         pd = AxiomStatus(True, note="checked on atomic boxes per axis subset")
         subsets = (axes for size in range(1, F.n) for axes in combinations(all_axes, size))
-        for axes in () if masses_nonneg else subsets:
+        for axes in subsets if negative else ():
             neg = first_negative(axes)
             if neg:
                 idx, d = neg
@@ -537,14 +554,15 @@ def resolution_from_doc(doc: dict) -> StepResolution:
     try:
         signature = AlgebraSignature(_decode_int(doc["k"]), _decode_int(doc["d"]))
         n = _decode_int(doc["n"])
-        breakpoints = [[_decode_rational(b) for b in axis] for axis in doc["breakpoints"]]
-        values = {
-            tuple(_decode_int(i) for i in cell["index"]): _decode_element(cell["value"], signature)
-            for cell in doc["cells"]
+        axes = _decode_list(doc["breakpoints"])
+        breakpoints = [[_decode_rational(b) for b in _decode_list(axis)] for axis in axes]
+        table = {
+            tuple(map(_decode_int, _decode_list(c["index"]))): _decode_flat(c["value"], signature.d)
+            for c in _decode_list(doc["cells"])
         }
     except (KeyError, TypeError, ValueError, ObservableError) as exc:
         raise ResolutionError(f"bad resolution document: {exc}") from exc
-    return from_cells(signature, n, breakpoints, values)
+    return _checked_table(signature, n, breakpoints, table)
 
 
 def resolution_to_json(F: StepResolution) -> str:

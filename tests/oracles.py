@@ -1,4 +1,4 @@
-"""Shared test oracles, independent of ``lexspec.charpoints``.
+"""Shared test oracles, independent of the routines they check.
 
 Imported by tests/test_acceptance.py and tests/test_charpoints.py so that the
 gallery's characteristic-point table and its brute-force oracle exist once,
@@ -8,6 +8,11 @@ by tests/test_spectral.py and tests/test_boxgeom.py for the cell box read off
 the breakpoints,
 by tests/test_render.py for the sampled ASCII level map,
 by tests/test_verify.py for the chained-union random suite region,
+by tests/test_charpoints.py and tests/test_verify.py for the walking
+projections, the antichain length and the tuple-keyed block pass,
+by tests/test_spectral.py and tests/test_charpoints.py for the random
+resolutions, the masses by corner sums and the cell-by-cell reconstruction
+witness,
 and by tests/test_lexalg.py and tests/test_boxgeom.py for small helpers that
 only tests use.
 """
@@ -17,6 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction as Q
 from itertools import combinations, product
+
+from hypothesis import strategies as st
 
 from lexspec.boxgeom import (
     NEG_INF,
@@ -29,8 +36,17 @@ from lexspec.boxgeom import (
     is_finite,
     union,
 )
-from lexspec.lexalg import LexElement, group_add, group_sub, mv_neg, mv_oplus
-from lexspec.spectral import eval_F, partial_delta, volume
+from lexspec.charpoints import Block, CharPointError, MismatchReport, _point, all_blocks
+from lexspec.lexalg import AlgebraSignature, LexElement, group_add, group_sub, mv_neg, mv_oplus
+from lexspec.observable import make_observable
+from lexspec.spectral import (
+    StepResolution,
+    eval_F,
+    from_cells,
+    from_observable,
+    partial_delta,
+    volume,
+)
 
 
 def height_class(a: LexElement) -> int:
@@ -279,3 +295,207 @@ def reference_random_grid_region(rng, F) -> Region:
             bounds_hi.append(b)
         region = union(region, halfopen_box(bounds_lo, bounds_hi))
     return region
+
+
+# Reference characteristic points and blocks: walks along each axis through
+# cells of equal level, and the block pass keyed by cell tuples that
+# ``charpoints._blocks`` once ran, one dict lookup per cell and axis.
+
+
+def _run_start(F, idx, axis) -> int:
+    """Lowest axis index reachable from ``idx`` through cells of equal level."""
+    i = F.table[idx][0]
+    r = idx[axis]
+    probe = list(idx)
+    while r > 0:
+        probe[axis] = r - 1
+        if F.table[tuple(probe)][0] != i:
+            break
+        r -= 1
+    return r
+
+
+def char_point(F, point):
+    """Vector of per-axis projections of ``point`` within its level set."""
+    idx = F.cell_of_point(point)
+    if F.table[idx][0] == 0:
+        raise CharPointError(f"point {point} lies in the level-0 set; no projection")
+    return _point(F.breakpoints, [_run_start(F, idx, j) for j in range(F.n)])
+
+
+def projection(F, point, axis):
+    """Infimum of the axis run of the level set through ``point``."""
+    cp = char_point(F, point)
+    if not 0 <= axis < F.n:
+        raise CharPointError(f"axis {axis} out of range for dimension {F.n}")
+    return cp[axis]
+
+
+def blocks(F, level) -> tuple:
+    return all_blocks(F).levels.get(level, ())
+
+
+def max_antichain(report) -> int | None:
+    """Largest pairwise-incomparable set of characteristic points (n = 2 only)."""
+    if report.n != 2:
+        return None
+    pts = report.point_starts
+    if not pts:
+        return 0
+    best = [1] * len(pts)
+    for i, (xi, yi) in enumerate(pts):
+        for j in range(i):
+            xj, yj = pts[j]
+            if xj < xi and yj > yi:
+                best[i] = max(best[i], best[j] + 1)
+    return max(best)
+
+
+def reference_blocks(F) -> list:
+    """Every block, by level and then run starts, keyed by cell tuples: a run
+    start is the neighbour's below when it has equal level."""
+    level = {idx: t[0] for idx, t in F.table.items()}
+    groups = {}
+    starts_of = {}
+    for idx in F.cells():
+        i = level[idx]
+        if i == 0:
+            continue
+        starts = []
+        for j, r in enumerate(idx):
+            below = idx[:j] + (r - 1,) + idx[j + 1:]
+            starts.append(starts_of[below][j] if r and level[below] == i else r)
+        starts_of[idx] = starts = tuple(starts)
+        groups.setdefault((i, starts), []).append(idx)
+    found = []
+    for (i, starts), cells in sorted(groups.items()):
+        flags = ["minus_infinity_projection"] if 0 in starts else []
+        landing = []
+        adjoined = 0 not in starts
+        for j, r0 in enumerate(starts):
+            if r0 == 0:
+                landing.append(None)
+                continue
+            seen = {level[idx[:j] + (r0 - 1,) + idx[j + 1:]] for idx in cells}
+            if len(seen) > 1:
+                flags.append(f"inconsistent_landing_axis_{j}")
+                landing.append(None)
+                adjoined = False
+            else:
+                lv = seen.pop()
+                landing.append(lv)
+                adjoined = adjoined and lv == 0
+                if lv >= i:
+                    flags.append(f"landing_not_below_axis_{j}")
+        cp_level = None if 0 in starts else level[tuple(r - 1 for r in starts)]
+        g = tuple(map(min, zip(*(F.table[idx][1:] for idx in cells))))
+        found.append(Block(
+            i, starts, tuple(cells), F.breakpoints, tuple(landing), cp_level, adjoined,
+            LexElement(F.signature, i, g), tuple(flags),
+        ))
+    return found
+
+
+# Random resolutions, and references for the stored masses: inclusion-exclusion
+# over the cells at and below each cell, and the cell-by-cell comparison that
+# ``reconstruct`` once made to find its mismatch witness.
+
+
+def members(sig: AlgebraSignature):
+    """Members of [0, u]: g >= 0 at height 0, g <= 0 at the unit height."""
+
+    def at_height(h):
+        lo = 0 if h == 0 else -3
+        hi = 0 if h == sig.k else 3
+        g = st.tuples(*[st.integers(lo, hi)] * sig.d)
+        return g.map(lambda g: LexElement(sig, h, g))
+
+    return st.integers(0, sig.k).flatmap(at_height)
+
+
+@st.composite
+def resolutions(draw):
+    """A resolution in n = 1..4.
+
+    Half are observable resolutions, as built from their masses or with up to
+    two cells overwritten; half carry an independent member of [0, u] on
+    every cell, so masses turn negative and blocks get flagged.
+    """
+    n = draw(st.integers(1, 4))
+    sig = AlgebraSignature(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        points = draw(st.lists(
+            st.tuples(*[st.integers(-2, 3)] * n), min_size=sig.k, max_size=sig.k, unique=True
+        ))
+        gs = [draw(st.tuples(*[st.integers(-3, 3)] * sig.d)) for _ in points[1:]]
+        gs.insert(0, tuple(-sum(c) for c in zip(*gs)) if gs else (0,) * sig.d)
+        x = make_observable(sig, n, [(p, LexElement(sig, 1, g)) for p, g in zip(points, gs)])
+        F = from_observable(x)
+        overwrites = draw(st.integers(0, 2))
+        if not overwrites:
+            return F
+        values = F.values
+        for _ in range(overwrites):
+            values[draw(st.sampled_from(sorted(values)))] = draw(members(sig))
+        breakpoints = F.breakpoints
+    else:
+        axis = st.lists(st.fractions(-3, 3, max_denominator=2), min_size=1,
+                        max_size=4 - n // 2, unique=True)
+        breakpoints = [sorted(draw(axis)) for _ in range(n)]
+        cells = product(*[range(len(bs) + 1) for bs in breakpoints])
+        values = {idx: draw(members(sig)) for idx in cells}
+    return from_cells(sig, n, breakpoints, values)
+
+
+def reference_masses(F) -> dict:
+    """Nonzero atomic masses as flat tuples: at each cell, the alternating sum
+    of the values at the 2^n cells at and below it, read as zero below index 0."""
+    values = F.values
+    out = {}
+    for idx in F.cells():
+        total = F.signature.zero
+        for eps in product((0, 1), repeat=F.n):
+            corner = tuple(r - e for r, e in zip(idx, eps))
+            if min(corner) >= 0:
+                op = group_sub if sum(eps) % 2 else group_add
+                total = op(total, values[corner])
+        if total != F.signature.zero:
+            out[idx] = (total.h, *total.g)
+    return out
+
+
+def reference_mismatch(F, candidate) -> dict | None:
+    """The first cell of ``F``, in cell order, whose value differs from the
+    weight of ``candidate``'s atoms strictly below its representative point,
+    as the witness fields of a ``MismatchReport``; None if every cell agrees."""
+    for idx in F.cells():
+        rep = F.cell_rep(idx)
+        induced = F.signature.zero
+        for a in candidate.atoms:
+            if all(c < r for c, r in zip(a.point, rep)):
+                induced = group_add(induced, a.weight)
+        value = eval_F(F, rep)
+        if value != induced:
+            return {
+                "witness_point": rep, "witness_cell": str(reference_cell_box(F, idx)),
+                "value_f": value, "value_candidate": induced,
+            }
+    return None
+
+
+def check_masses(F, result) -> None:
+    """The mass oracles on ``F``, with ``result`` from ``reconstruct(F)``, or
+    None when it raised: the stored masses equal the reference masses, a
+    resolution built from them has the table of one built from the cells,
+    and a mismatch witness is the first differing cell."""
+    assert F.masses == reference_masses(F)
+    sig, n, breakpoints = F.signature, F.n, F.breakpoints
+    from_masses = StepResolution(sig, n, breakpoints, masses=F.masses)
+    from_values = from_cells(sig, n, breakpoints, F.values)
+    assert from_masses.table == from_values.table == F.table
+    assert from_values.masses == F.masses
+    if isinstance(result, MismatchReport):
+        fields = ("witness_point", "witness_cell", "value_f", "value_candidate")
+        assert reference_mismatch(F, result.candidate) == {f: getattr(result, f) for f in fields}
+    elif result is not None:
+        assert reference_mismatch(F, result) is None

@@ -15,6 +15,7 @@ from lexspec.boxgeom import (
     NEG_INF,
     POS_INF,
     Region,
+    _run_interval,
     above,
     below,
     cell_region,
@@ -62,6 +63,24 @@ class TestInterval:
     def test_singleton_allowed(self):
         iv = Interval(Q(1), True, Q(1), True)
         assert iv.contains(Q(1))
+
+
+class TestRunInterval:
+    """``_run_interval`` skips validation; it must build the validated interval
+    of the run's end pieces, piece 2r + 1 being the point v_r and piece 2r the
+    open gap below it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(-5, 5, max_denominator=3), max_size=5, unique=True))
+    def test_every_run_matches_the_validated_interval(self, vals):
+        vals = sorted(vals)
+        lower = [(NEG_INF, False)] + [(v, closed) for v in vals for closed in (True, False)]
+        upper = [(v, closed) for v in vals for closed in (False, True)] + [(POS_INF, False)]
+        for lo in range(2 * len(vals) + 1):
+            for hi in range(lo, 2 * len(vals) + 1):
+                want = Interval(*lower[lo], *upper[hi])
+                got = _run_interval(vals, lo, hi)
+                assert got == want and hash(got) == hash(want) and str(got) == str(want)
 
 
 class TestContains:

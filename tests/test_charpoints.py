@@ -7,6 +7,7 @@ from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from lexspec.boxgeom import Box, Region, above, is_finite, open_closed
 from lexspec.charpoints import (
@@ -14,14 +15,11 @@ from lexspec.charpoints import (
     MismatchReport,
     NotReconstructibleError,
     ReconstructionError,
+    _blocks,
     all_blocks,
     block_cube_check,
-    blocks,
     bounds_check,
-    char_point,
     level_regions,
-    max_antichain,
-    projection,
     rays_check,
     reconstruct,
 )
@@ -37,7 +35,17 @@ from lexspec.verify import (
     random_observable,
 )
 
-from oracles import GALLERY_CHAR_POINTS, oracle_char_points
+from oracles import (
+    GALLERY_CHAR_POINTS,
+    blocks,
+    char_point,
+    check_masses,
+    max_antichain,
+    oracle_char_points,
+    projection,
+    reference_blocks,
+    resolutions,
+)
 
 SIG3 = AlgebraSignature(3, 1)
 
@@ -391,13 +399,17 @@ class TestGridTranscript:
         assert digest == "1d5370a28f2d8c60e19921b7aff3596d90fceb50050295bdf3d943260f48fd1e"
 
 
-def _transcript_resolutions():
-    """The overwritten and pathological resolutions of ``grid_transcript``."""
+def _transcript_resolutions(genuine: bool = False):
+    """The overwritten and pathological resolutions of ``grid_transcript``,
+    with ``genuine`` the observable resolutions too."""
     rng = SplitMix64(2011)
     for n in (1, 2, 3):
         cfg = TrialConfig(seed=70 + n, trials=0, k_range=(1, 4), n_range=(n, n), max_atoms=8)
         for i in range(40):
-            yield _overwritten(rng, from_observable(random_observable(cfg, i)))
+            F = from_observable(random_observable(cfg, i))
+            if genuine:
+                yield F
+            yield _overwritten(rng, F)
     for m in range(1, 7):
         for k in (2, 3):
             for style in ("antichain", "chain"):
@@ -479,3 +491,43 @@ class TestBlockRecords:
             assert (ok, witness and witness["cell"]) == _cube_oracle(F, report)
             assert max_antichain(report) == _antichain_oracle(F, report)
         assert flagged > 0
+
+
+class TestStridedBlockPass:
+    """``_blocks`` against the tuple-keyed reference pass, flags included."""
+
+    @pytest.mark.parametrize("source", ["transcript", "level_tables"])
+    def test_synthetic_resolutions(self, source):
+        resolutions = (
+            _transcript_resolutions(genuine=True) if source == "transcript"
+            else _random_level_tables(150)
+        )
+        flags = set()
+        for F in resolutions:
+            found = _blocks(F)
+            assert found == reference_blocks(F)
+            flags.update(f.rstrip("0123456789") for b in found for f in b.flags)
+        assert flags == {
+            "minus_infinity_projection", "inconsistent_landing_axis_", "landing_not_below_axis_"
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(resolutions())
+    def test_random_resolutions(self, F):
+        assert _blocks(F) == reference_blocks(F)
+
+
+class TestMassOracleOnTranscript:
+    def test_transcript_resolutions(self):
+        outcomes = {"observable": 0, "mismatch": 0, "error": 0}
+        for F in _transcript_resolutions(genuine=True):
+            try:
+                result = reconstruct(F)
+            except ReconstructionError:
+                result = None
+            check_masses(F, result)
+            kind = "error" if result is None else (
+                "mismatch" if isinstance(result, MismatchReport) else "observable"
+            )
+            outcomes[kind] += 1
+        assert all(outcomes.values()), outcomes

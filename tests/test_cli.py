@@ -321,6 +321,45 @@ class TestLoadDocument:
         assert capsys.readouterr().out == "(2; 0)\n"
 
 
+# One unit atom at (1, 2): its resolution has the breakpoints [[1], [2]], so
+# reading a string one character at a time used to give a valid document.
+_UNIT_ATOM = {
+    "kind": "observable", "k": 1, "d": 1, "n": 2,
+    "atoms": [{"point": [1, 2], "weight": {"h": 1, "g": [0]}}],
+}
+_STRING_FOR_ARRAY = {
+    "breakpoints": ("resolution", lambda doc: doc.update(breakpoints="12")),
+    "axis": ("resolution", lambda doc: doc["breakpoints"].__setitem__(1, "2")),
+    "cells": ("resolution", lambda doc: doc.update(cells=json.dumps(doc["cells"]))),
+    "index": ("resolution", lambda doc: doc["cells"][0].update(index="00")),
+    "cell-g": ("resolution", lambda doc: doc["cells"][0]["value"].update(g="0")),
+    "atoms": ("observable", lambda doc: doc.update(atoms=json.dumps(doc["atoms"]))),
+    "point": ("observable", lambda doc: doc["atoms"][0].update(point="12")),
+    "weight-g": ("observable", lambda doc: doc["atoms"][0]["weight"].update(g="0")),
+}
+
+
+class TestStringForArray:
+    """Every array field of a document refuses a string in its place."""
+
+    @pytest.mark.parametrize("field", list(_STRING_FOR_ARRAY))
+    def test_string_exits_two(self, tmp_path, capsys, field):
+        kind, edit = _STRING_FOR_ARRAY[field]
+        doc = copy.deepcopy(_UNIT_ATOM)
+        if kind == "resolution":
+            doc = json.loads(resolution_to_json(from_observable(observable_from_doc(doc))))
+            assert doc["breakpoints"] == [[1], [2]]
+        path = tmp_path / "doc.json"
+        argv = ["eval", "--input", str(path), "--point", "2,3"]
+        path.write_text(json.dumps(doc))
+        assert main(argv) == 0
+        capsys.readouterr()
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(argv) == 2
+        assert f"bad {kind} document" in capsys.readouterr().err
+
+
 def _exit_code(argv) -> int:
     """``main``'s return value, or the code of the SystemExit argparse raises."""
     try:

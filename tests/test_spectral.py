@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexspec.charpoints import ReconstructionError, reconstruct
 from lexspec.gallery import build_observable
 from lexspec.lexalg import AlgebraError, AlgebraSignature, LexElement, in_unit_interval
 from lexspec.observable import (
@@ -39,11 +40,13 @@ from lexspec.spectral import (
 from lexspec.verify import SplitMix64, TrialConfig, mismatch_resolution, random_observable
 
 from oracles import (
+    check_masses,
     oracle_difference_statuses,
     reference_cell_box,
     reference_partial_delta,
     reference_point_mass,
     reference_volume,
+    resolutions,
 )
 
 SIG = AlgebraSignature(2, 1)
@@ -443,49 +446,17 @@ class TestVolumeReductionOracle:
                 assert additive_extension(F, pieces) == vol
 
 
-def _members(sig: AlgebraSignature):
-    """Members of [0, u]: g >= 0 at height 0, g <= 0 at the unit height."""
-
-    def at_height(h):
-        lo = 0 if h == 0 else -3
-        hi = 0 if h == sig.k else 3
-        g = st.tuples(*[st.integers(lo, hi)] * sig.d)
-        return g.map(lambda g: LexElement(sig, h, g))
-
-    return st.integers(0, sig.k).flatmap(at_height)
-
-
 @st.composite
 def corner_sum_cases(draw):
-    """A resolution in n = 1..4 with query bounds and a point on and off its grid.
+    """A resolution of ``oracles.resolutions`` with query bounds and a point
+    on and off its grid.
 
-    Half the tables are observable resolutions with up to two cells
-    overwritten, half carry an independent member of [0, u] on every cell, so
-    masses turn negative.  Each axis draws its coordinates from its
-    breakpoints, the midpoints between them and one value past either end; in
-    about one case in four the bounds of one axis coincide.
+    Each axis draws its coordinates from its breakpoints, the midpoints
+    between them and one value past either end; in about one case in four
+    the bounds of one axis coincide.
     """
-    n = draw(st.integers(1, 4))
-    sig = AlgebraSignature(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
-    if draw(st.booleans()):
-        points = draw(st.lists(
-            st.tuples(*[st.integers(-2, 3)] * n), min_size=sig.k, max_size=sig.k, unique=True
-        ))
-        gs = [draw(st.tuples(*[st.integers(-3, 3)] * sig.d)) for _ in points[1:]]
-        gs.insert(0, tuple(-sum(c) for c in zip(*gs)) if gs else (0,) * sig.d)
-        x = make_observable(sig, n, [(p, LexElement(sig, 1, g)) for p, g in zip(points, gs)])
-        F = from_observable(x)
-        values = F.values
-        for _ in range(draw(st.integers(0, 2))):
-            values[draw(st.sampled_from(sorted(values)))] = draw(_members(sig))
-        breakpoints = F.breakpoints
-    else:
-        axis = st.lists(st.fractions(-3, 3, max_denominator=2), min_size=1,
-                        max_size=4 - n // 2, unique=True)
-        breakpoints = [sorted(draw(axis)) for _ in range(n)]
-        cells = product(*[range(len(bs) + 1) for bs in breakpoints])
-        values = {idx: draw(_members(sig)) for idx in cells}
-    F = from_cells(sig, n, breakpoints, values)
+    F = draw(resolutions())
+    n = F.n
     pools = []
     for bs in F.breakpoints:
         mids = [(a + b) / 2 for a, b in zip(bs, bs[1:])]
@@ -517,6 +488,21 @@ class TestCornerSumReference:
         assert point_mass_via_deltas(F, point) == reference_point_mass(F, point)
         if deltas is not None:
             assert partial_delta(F, deltas, point) == reference_partial_delta(F, deltas, point)
+
+
+class TestMassOracle:
+    """Stored masses against corner sums, tables built from masses against
+    tables built from cells, and reconstruction witnesses against a cell by
+    cell comparison, on resolutions that are genuine, overwritten or arbitrary."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(resolutions())
+    def test_masses_agree(self, F):
+        try:
+            result = reconstruct(F)
+        except ReconstructionError:
+            result = None
+        check_masses(F, result)
 
 
 class TestAdditiveExtension:

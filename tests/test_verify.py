@@ -12,7 +12,6 @@ from lexspec.charpoints import (
     NotReconstructibleError,
     all_blocks,
     bounds_check,
-    max_antichain,
     reconstruct,
 )
 from lexspec.lexalg import (
@@ -36,7 +35,7 @@ from lexspec.verify import (
     trial_rng,
 )
 
-from oracles import reference_random_grid_region
+from oracles import max_antichain, reference_random_grid_region
 
 
 class TestSplitMix64:
