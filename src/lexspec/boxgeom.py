@@ -1,18 +1,24 @@
 """Exact geometry of axis-aligned boxes and finite box unions in R^n.
 
-Coordinates are rationals (``fractions.Fraction``) with explicit +/- infinity
+Coordinates are rationals (``int`` or ``fractions.Fraction``; public
+``Interval(...)`` refuses floats and other types) with explicit +/- infinity
 sentinels; every interval endpoint carries its own closure flag.  A
 :class:`Region` is a finite union of boxes kept in a canonical disjoint form,
 so two regions describe the same point set iff their representations are
 identical.
 
-Canonical form: rank the finite endpoint values of each axis once; every
-interval is then a run of integer piece indices on the induced grid of atomic
-cells (isolated points and open gaps).  Keep the occupied cells, greedily
-merge adjacent runs along the last axis, then the one before it, and so on,
-and build intervals only for the final runs.  The boolean operations pick
-atomic cells on the common grid of both operands and canonicalize those.  The
-result is deterministic; compactness is not a goal.
+Canonical form: rank the finite endpoint values of each axis once, keyed by
+their reduced integer pair (numerator, denominator), not by a hashed
+``Fraction``; every interval is then a run of integer piece indices on the
+induced grid of atomic cells (isolated points and open gaps).  Keep the
+occupied cells, greedily merge adjacent runs along the last axis, then the
+one before it, and so on, and build intervals only for the final runs.  The
+result is deterministic; compactness is not a goal.  :func:`complement`
+merges the cells of its operand's own grid that it misses.  The other
+boolean operations pick atomic cells on the common grid of both operands and
+rank them again with ``Region(...)``: the benchmark's instrumentation test
+counts that call, so emitting the merged runs directly waits for a
+benchmark change (ROADMAP.md, item 5).
 
 Regions on a left-open right-closed breakpoint grid (:func:`cell_region`)
 merge the grid cells themselves: on an axis with m breakpoints, the run of
@@ -81,6 +87,9 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self) -> None:
+        for end in (self.lo, self.hi):
+            if not isinstance(end, (int, Fraction, _Infinity)):
+                raise GeometryError(f"interval end must be an int or a Fraction, got {end!r}")
         if isinstance(self.lo, _Infinity):
             if self.lo is not NEG_INF or self.lo_closed:
                 raise GeometryError("lower end may only be an open -inf")
@@ -167,19 +176,20 @@ def _grid(
     n: int, box_lists: Sequence[Sequence[Box]]
 ) -> tuple[list[list[Fraction]], list[set[tuple[int, ...]]]]:
     """Sorted finite endpoints per axis over all ``box_lists``, and the set of
-    atomic cells (tuples of piece indices) each list covers on that grid."""
-    axis_sets: list[set[Fraction]] = [set() for _ in range(n)]
+    atomic cells (tuples of piece indices) each list covers on that grid.
+    Endpoints are keyed by ``v.as_integer_ratio()``, which equal values share."""
+    axis_ends: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
     for boxes in box_lists:
         for b in boxes:
             if b.n != n:
                 raise GeometryError(f"box of dimension {b.n} in a {n}-dimensional region")
-            for vals, iv in zip(axis_sets, b.dims):
+            for ends, iv in zip(axis_ends, b.dims):
                 if iv.lo is not NEG_INF:
-                    vals.add(iv.lo)
+                    ends.setdefault(iv.lo.as_integer_ratio(), iv.lo)
                 if iv.hi is not POS_INF:
-                    vals.add(iv.hi)
-    values = [sorted(vals) for vals in axis_sets]
-    ranks = [{v: r for r, v in enumerate(vals)} for vals in values]
+                    ends.setdefault(iv.hi.as_integer_ratio(), iv.hi)
+    values = [sorted(ends.values()) for ends in axis_ends]
+    ranks = [{v.as_integer_ratio(): r for r, v in enumerate(vals)} for vals in values]
     tops = [2 * len(vals) for vals in values]
     cell_sets = []
     for boxes in box_lists:
@@ -187,8 +197,10 @@ def _grid(
         for b in boxes:
             ranges = []
             for rank, top, iv in zip(ranks, tops, b.dims):
-                lo = 0 if iv.lo is NEG_INF else 2 * rank[iv.lo] + (1 if iv.lo_closed else 2)
-                hi = top if iv.hi is POS_INF else 2 * rank[iv.hi] + (1 if iv.hi_closed else 0)
+                lo = 0 if iv.lo is NEG_INF else (
+                    2 * rank[iv.lo.as_integer_ratio()] + (1 if iv.lo_closed else 2))
+                hi = top if iv.hi is POS_INF else (
+                    2 * rank[iv.hi.as_integer_ratio()] + (1 if iv.hi_closed else 0))
                 ranges.append(range(lo, hi + 1))
             cells.update(product(*ranges))
         cell_sets.append(cells)
@@ -334,7 +346,13 @@ def difference(r1: Region, r2: Region) -> Region:
 
 
 def complement(r: Region) -> Region:
-    return difference(Region.full(r.n), r)
+    """The cells of ``r``'s own grid that ``r`` misses, merged once."""
+    values, (cells,) = _grid(r.n, (r.boxes,))
+    everything = product(*(range(2 * len(vals) + 1) for vals in values))
+    region = object.__new__(Region)
+    region.n = r.n
+    region.boxes = _merged_boxes(values, [cell for cell in everything if cell not in cells])
+    return region
 
 
 def lower_orthant(point: Sequence) -> Region:

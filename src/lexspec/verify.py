@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .charpoints import (
     NotReconstructibleError,
@@ -118,6 +119,8 @@ class TrialConfig:
             raise ValueError("n_range is capped at 3")
         if self.max_atoms < 1 or self.coord_denominator_bound < 1:
             raise ValueError("bounds must be positive")
+        if self.coord_range[0] > self.coord_range[1]:
+            raise ValueError(f"bad coord_range: {self.coord_range}")
 
 
 _G_SPAN = 5  # infinitesimal components are drawn from [-5, 5]
@@ -130,7 +133,9 @@ def random_observable(config: TrialConfig, index: int) -> DiscreteObservable:
     a random composition of k, infinitesimal parts sum to zero with the last
     atom absorbing the remainder, and draws violating unit-interval
     membership are discarded.  A bounded rejection loop falls back to a
-    single atom of weight u.
+    single atom of weight u.  Points are drawn as reduced (numerator,
+    denominator) pairs and de-duplicated on those; only the accepted attempt
+    turns them into ``Fraction`` coordinates.
     """
     rng = trial_rng(config.seed, index)
     k = rng.randint(*config.k_range)
@@ -139,30 +144,27 @@ def random_observable(config: TrialConfig, index: int) -> DiscreteObservable:
     sig = AlgebraSignature(k, d)
     lo, hi = config.coord_range
 
-    def draw_point() -> tuple[Fraction, ...]:
+    def draw_point() -> tuple[tuple[int, int], ...]:
         coords = []
         for _ in range(n):
             den = rng.randint(1, config.coord_denominator_bound)
             num = rng.randint(lo * den, hi * den)
-            coords.append(Fraction(num, den))
+            g = gcd(num, den)
+            coords.append((num // g, den // g))
         return tuple(coords)
 
     for _ in range(200):
         m = rng.randint(1, config.max_atoms)
-        points: list[tuple[Fraction, ...]] = []
-        seen = set()
-        ok = True
+        points: dict[tuple[tuple[int, int], ...], None] = {}  # insertion-ordered
         for _ in range(m):
             for _ in range(20):
                 p = draw_point()
-                if p not in seen:
-                    seen.add(p)
-                    points.append(p)
+                if p not in points:
+                    points[p] = None
                     break
             else:
-                ok = False
                 break
-        if not ok:
+        if len(points) < m:
             continue
 
         heights = []
@@ -188,10 +190,11 @@ def random_observable(config: TrialConfig, index: int) -> DiscreteObservable:
             continue
         if any(w == sig.zero for w in weights):
             continue
-        return make_observable(sig, n, list(zip(points, weights)))
+        atoms = [(tuple(Fraction(*c) for c in p), w) for p, w in zip(points, weights)]
+        return make_observable(sig, n, atoms)
 
     # exhausted: a single unit atom is always valid
-    return make_observable(sig, n, [(draw_point(), sig.unit)])
+    return make_observable(sig, n, [(tuple(Fraction(*c) for c in draw_point()), sig.unit)])
 
 
 def _check_grid(m: int) -> None:

@@ -7,7 +7,8 @@ and the neighbour loop of the monotone status,
 by tests/test_spectral.py and tests/test_boxgeom.py for the cell box read off
 the breakpoints,
 by tests/test_render.py for the sampled ASCII level map,
-by tests/test_verify.py for the chained-union random suite region,
+by tests/test_verify.py for the chained-union random suite region and the
+``Fraction``-drawing random observable,
 by tests/test_charpoints.py and tests/test_verify.py for the walking
 projections, the antichain length and the tuple-keyed block pass,
 by tests/test_spectral.py and tests/test_charpoints.py for the random
@@ -37,7 +38,15 @@ from lexspec.boxgeom import (
     union,
 )
 from lexspec.charpoints import Block, CharPointError, MismatchReport, _point, all_blocks
-from lexspec.lexalg import AlgebraSignature, LexElement, group_add, group_sub, mv_neg, mv_oplus
+from lexspec.lexalg import (
+    AlgebraSignature,
+    LexElement,
+    group_add,
+    group_sub,
+    in_unit_interval,
+    mv_neg,
+    mv_oplus,
+)
 from lexspec.observable import make_observable
 from lexspec.spectral import (
     StepResolution,
@@ -47,6 +56,7 @@ from lexspec.spectral import (
     partial_delta,
     volume,
 )
+from lexspec.verify import _G_SPAN, trial_rng
 
 
 def height_class(a: LexElement) -> int:
@@ -295,6 +305,78 @@ def reference_random_grid_region(rng, F) -> Region:
             bounds_hi.append(b)
         region = union(region, halfopen_box(bounds_lo, bounds_hi))
     return region
+
+
+# Reference random observable: points drawn as ``Fraction`` tuples and
+# de-duplicated on them.  ``paths``, when given, counts the attempts that ran
+# out of retries for a fresh point and the fallbacks to a single unit atom.
+
+
+def reference_random_observable(config, index, paths=None):
+    """Observable for (config.seed, index), drawn as ``verify`` draws it."""
+    rng = trial_rng(config.seed, index)
+    k = rng.randint(*config.k_range)
+    d = rng.randint(*config.d_range)
+    n = rng.randint(*config.n_range)
+    sig = AlgebraSignature(k, d)
+    lo, hi = config.coord_range
+
+    def draw_point():
+        coords = []
+        for _ in range(n):
+            den = rng.randint(1, config.coord_denominator_bound)
+            num = rng.randint(lo * den, hi * den)
+            coords.append(Q(num, den))
+        return tuple(coords)
+
+    for _ in range(200):
+        m = rng.randint(1, config.max_atoms)
+        points = []
+        seen = set()
+        ok = True
+        for _ in range(m):
+            for _ in range(20):
+                p = draw_point()
+                if p not in seen:
+                    seen.add(p)
+                    points.append(p)
+                    break
+            else:
+                ok = False
+                break
+        if not ok:
+            if paths is not None:
+                paths["retries_exhausted"] += 1
+            continue
+
+        heights = []
+        rem = k
+        for _ in range(m - 1):
+            h = rng.randint(0, rem)
+            heights.append(h)
+            rem -= h
+        heights.append(rem)
+        rng.shuffle(heights)
+
+        weights = []
+        g_total = [0] * d
+        for i, h in enumerate(heights):
+            if i + 1 < m:
+                g = tuple(rng.randint(-_G_SPAN, _G_SPAN) for _ in range(d))
+            else:
+                g = tuple(-c for c in g_total)
+            for c, gc in zip(range(d), g):
+                g_total[c] += gc
+            weights.append(LexElement(sig, h, g))
+        if any(not in_unit_interval(w) for w in weights):
+            continue
+        if any(w == sig.zero for w in weights):
+            continue
+        return make_observable(sig, n, list(zip(points, weights)))
+
+    if paths is not None:
+        paths["fallback"] += 1
+    return make_observable(sig, n, [(draw_point(), sig.unit)])
 
 
 # Reference characteristic points and blocks: walks along each axis through

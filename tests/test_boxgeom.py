@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from decimal import Decimal
 from fractions import Fraction as Q
 from itertools import product
 
@@ -35,7 +36,7 @@ from lexspec.boxgeom import (
 from lexspec.charpoints import level_regions
 from lexspec.lexalg import AlgebraSignature, LexElement
 from lexspec.spectral import from_cells, from_observable
-from lexspec.verify import SplitMix64, TrialConfig, random_observable
+from lexspec.verify import SplitMix64, TrialConfig, _random_grid_region, random_observable
 
 from oracles import reference_cell_box, region_equal
 
@@ -63,6 +64,21 @@ class TestInterval:
     def test_singleton_allowed(self):
         iv = Interval(Q(1), True, Q(1), True)
         assert iv.contains(Q(1))
+
+    @pytest.mark.parametrize("end", [0.5, Decimal("0.5"), "1/2"])
+    def test_inexact_ends_rejected(self, end):
+        with pytest.raises(GeometryError, match="end must be an int or a Fraction"):
+            Interval(end, True, Q(2), False)
+        with pytest.raises(GeometryError, match="end must be an int or a Fraction"):
+            Interval(Q(-2), True, end, False)
+
+    def test_float_box_is_refused_before_region(self):
+        with pytest.raises(GeometryError):
+            Region(1, [Box((Interval(0.5, True, 1.5, False),))])
+
+    def test_int_ends_accepted(self):
+        iv = Interval(0, True, 1, False)
+        assert str(Region(1, [box(iv)])) == "[0,1)"
 
 
 class TestRunInterval:
@@ -240,6 +256,57 @@ class TestRegionSemantics:
         c = complement(r)
         for p in _probe_points(r.n):
             assert r.contains(p) != c.contains(p)
+
+
+class TestComplementOracle:
+    """``complement`` merges the cells of its operand's own grid that the
+    operand misses; it must give what ``difference`` from the full space
+    gives."""
+
+    @settings(deadline=None)
+    @given(any_region())
+    def test_matches_difference_from_full(self, r):
+        got = complement(r)
+        want = difference(Region.full(r.n), r)
+        assert got == want and str(got) == str(want)
+
+    def test_matches_on_suite_regions(self):
+        for n in (1, 2, 3):
+            assert complement(Region.empty(n)) == Region.full(n)
+            assert complement(Region.full(n)).is_empty()
+            cfg = TrialConfig(seed=20 + n, trials=0, n_range=(n, n))
+            for i in range(30):
+                F = from_observable(random_observable(cfg, i))
+                rng = SplitMix64(i)
+                for _ in range(5):
+                    r = _random_grid_region(rng, F)
+                    got = complement(r)
+                    want = difference(Region.full(n), r)
+                    assert got == want and str(got) == str(want)
+
+
+class TestEqualEndsFromDistinctObjects:
+    """Endpoints are ranked by their reduced integer pair, so equal values
+    held by distinct objects share one rank and their pieces merge."""
+
+    @pytest.mark.parametrize("a, b", [(Q(2, 4), Q(1, 2)), (1, Q(1))])
+    def test_same_boxes_as_single_source(self, a, b):
+        assert a == b and a is not b
+
+        def operands(left_end, right_end):
+            left = Region(2, [box(Interval(Q(0), True, left_end, False), closed_open(0, 1))])
+            right = Region(2, [box(Interval(right_end, True, Q(3), True),
+                                   Interval(right_end, True, right_end, True))])
+            return left, right
+
+        mixed, single = operands(a, b), operands(b, b)
+        joined = Region(2, mixed[0].boxes + (box(Interval(b, True, Q(3), False), closed_open(0, 1)),))
+        assert str(joined) == "[0,3)x[0,1)"
+        for op in (union, intersect, difference, lambda r1, r2: Region(2, r1.boxes + r2.boxes)):
+            got, want = op(*mixed), op(*single)
+            assert got.boxes == want.boxes and str(got) == str(want)
+        for r_mixed, r_single in zip(mixed, single):
+            assert complement(r_mixed).boxes == complement(r_single).boxes
 
 
 # endpoints for the seeded canonical-text digest; unequal gaps and a

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib
 from collections import Counter
 
@@ -22,6 +23,7 @@ from lexspec.lexalg import (
     in_unit_interval,
     sum_finite,
 )
+from lexspec.observable import observable_to_json
 from lexspec.spectral import check_axioms, eval_F, from_cells, from_observable, to_observable
 from lexspec.verify import (
     SplitMix64,
@@ -35,7 +37,7 @@ from lexspec.verify import (
     trial_rng,
 )
 
-from oracles import max_antichain, reference_random_grid_region
+from oracles import max_antichain, reference_random_grid_region, reference_random_observable
 
 
 class TestSplitMix64:
@@ -99,6 +101,58 @@ class TestRandomObservable:
             TrialConfig(n_range=(1, 4))
         with pytest.raises(ValueError):
             TrialConfig(trials=-1)
+
+    def test_empty_coord_range_rejected(self):
+        with pytest.raises(ValueError, match="bad coord_range"):
+            TrialConfig(coord_range=(3, 1))
+        x = random_observable(TrialConfig(coord_range=(3, 3), coord_denominator_bound=2), 0)
+        assert all(c == 3 for a in x.atoms for c in a.point)
+
+
+# Default configs in n = 1..3, d = 1..2, and collision-heavy ones: few
+# coordinate values make the 20 retries for a fresh point run out, and with
+# two values and up to 1000 atoms most trials end all 200 attempts that way,
+# so the single-atom fallback draws its point; negative ranges with
+# denominators exercise the reduction.
+_DRAW_CONFIGS = [
+    *(TrialConfig(seed=10 * n + d, trials=0, n_range=(n, n), d_range=(d, d))
+      for n in (1, 2, 3) for d in (1, 2)),
+    TrialConfig(seed=5, trials=0, n_range=(1, 3), coord_range=(0, 1),
+                coord_denominator_bound=1, max_atoms=12),
+    TrialConfig(seed=6, trials=0, n_range=(1, 1), coord_range=(0, 1),
+                coord_denominator_bound=1, max_atoms=1000),
+    TrialConfig(seed=8, trials=0, n_range=(1, 2), coord_range=(-2, -1),
+                coord_denominator_bound=6, max_atoms=12),
+]
+
+
+class TestRandomObservableOracle:
+    def test_integer_draws_match_fraction_draws(self):
+        paths = Counter()
+        for cfg in _DRAW_CONFIGS:
+            for i in range(40):
+                got = random_observable(cfg, i)
+                want = reference_random_observable(cfg, i, paths)
+                assert got == want
+                assert observable_to_json(got) == observable_to_json(want)
+        assert paths["retries_exhausted"] > 0 and paths["fallback"] > 0
+
+
+class TestPinnedTrialDraws:
+    """sha256 of the JSON of draws 0..299, one line each; the constants were
+    taken from the ``Fraction``-drawing generator (``reference_random_observable``)."""
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (TrialConfig(seed=1),
+         "131a8a3d38f12906b798edeb445ba2445bd362f4c145590321845ccc8a4da53c"),
+        (TrialConfig(seed=7, n_range=(1, 3), coord_range=(0, 1), coord_denominator_bound=1),
+         "1ec12148f1d65276e9b3ad06986e9d55e3b3fd8de8476563d04a378ba57ddccd"),
+    ])
+    def test_draw_digest(self, cfg, digest):
+        h = hashlib.sha256()
+        for i in range(300):
+            h.update(observable_to_json(random_observable(cfg, i)).encode() + b"\n")
+        assert h.hexdigest() == digest
 
 
 class TestSaturatingFamily:
