@@ -1,8 +1,9 @@
 """Exact geometry of axis-aligned boxes and finite box unions in R^n.
 
-Coordinates are rationals (``int`` or ``fractions.Fraction``; public
-``Interval(...)`` refuses floats and other types) with explicit +/- infinity
-sentinels; every interval endpoint carries its own closure flag.  A
+Coordinates are exact rationals with explicit +/- infinity sentinels; every
+interval endpoint carries its own closure flag.  :func:`rational` is the one
+gate for a caller's coordinate, here and in ``observable`` and ``spectral``: it
+passes a ``Fraction``, turns an ``int`` into one and refuses anything else.  A
 :class:`Region` is a finite union of boxes kept in a canonical disjoint form,
 so two regions describe the same point set iff their representations are
 identical.
@@ -77,6 +78,16 @@ def is_finite(v: ExtRat) -> bool:
     return not isinstance(v, _Infinity)
 
 
+def rational(x) -> Fraction:
+    """``x`` as an exact coordinate: a ``Fraction`` as is, an ``int`` (not a
+    ``bool``) as a ``Fraction``; anything else raises :class:`GeometryError`."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise GeometryError(f"a coordinate or interval end must be an int or a Fraction, got {x!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Interval:
     """Nonempty interval of R with per-endpoint closure; infinite ends are open."""
@@ -88,8 +99,8 @@ class Interval:
 
     def __post_init__(self) -> None:
         for end in (self.lo, self.hi):
-            if not isinstance(end, (int, Fraction, _Infinity)):
-                raise GeometryError(f"interval end must be an int or a Fraction, got {end!r}")
+            if not isinstance(end, _Infinity):
+                rational(end)  # raises for an inexact end
         if isinstance(self.lo, _Infinity):
             if self.lo is not NEG_INF or self.lo_closed:
                 raise GeometryError("lower end may only be an open -inf")
@@ -114,21 +125,21 @@ class Interval:
 
 
 def closed_open(lo, hi) -> Interval:
-    return Interval(Fraction(lo), True, Fraction(hi), False)
+    return Interval(rational(lo), True, rational(hi), False)
 
 
 def open_closed(lo, hi) -> Interval:
-    return Interval(Fraction(lo), False, Fraction(hi), True)
+    return Interval(rational(lo), False, rational(hi), True)
 
 
 def below(hi, closed: bool = False) -> Interval:
     """(-inf, hi) or (-inf, hi]."""
-    return Interval(NEG_INF, False, Fraction(hi), closed)
+    return Interval(NEG_INF, False, rational(hi), closed)
 
 
 def above(lo, closed: bool = False) -> Interval:
     """(lo, +inf) or [lo, +inf)."""
-    return Interval(Fraction(lo), closed, POS_INF, False)
+    return Interval(rational(lo), closed, POS_INF, False)
 
 
 FULL_LINE = Interval(NEG_INF, False, POS_INF, False)
@@ -357,7 +368,7 @@ def complement(r: Region) -> Region:
 
 def lower_orthant(point: Sequence) -> Region:
     """The open lower orthant prod_j (-inf, p_j)."""
-    dims = tuple(below(Fraction(p)) for p in point)
+    dims = tuple(below(p) for p in point)
     return Region(len(dims), (Box(dims),))
 
 
@@ -365,8 +376,8 @@ def halfopen_box(a: Sequence, b: Sequence) -> Region:
     """The half-open box prod_j [a_j, b_j); degenerate axes give the empty region."""
     if len(a) != len(b):
         raise GeometryError("corner dimension mismatch")
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
+    a = [rational(x) for x in a]
+    b = [rational(x) for x in b]
     for x, y in zip(a, b):
         if x > y:
             raise GeometryError(f"lower corner exceeds upper corner: {x} > {y}")

@@ -34,7 +34,7 @@ from .spectral import (
 
 
 class CharPointError(ValueError):
-    """An unsupported dimension, or a point off the grid."""
+    """A point off the grid, or of the wrong dimension."""
 
 
 class ReconstructionError(ValueError):
@@ -378,56 +378,30 @@ class RaysResult:
 def rays_check(F: StepResolution, point: ExtPoint) -> RaysResult:
     """Strict level increase across a characteristic point along far rays.
 
-    For every grid height t above the point, each location left of (or at)
-    the point's first coordinate must have strictly smaller level than each
-    location right of it; symmetrically for the second coordinate.  Two
-    dimensions only.
+    Let s be the point's run starts (0 for a -inf coordinate).  For each axis
+    j and each axis-j line of cells whose other indices are at or above s,
+    every level below s_j must be strictly smaller than every level at or
+    above s_j; a start 0 splits nothing.  Axes are scanned in order (for n = 2
+    the vertical rays, then the horizontal ones) and lines in cell order; the
+    witness is the first failing line, named by its other cell indices.
     """
-    if F.n != 2:
-        raise CharPointError("ray checks are defined for two dimensions only")
-
-    def split_index(axis: int, v: ExtRat) -> int:
-        if not is_finite(v):
-            return 0
-        breaks = F.breakpoints[axis]
-        try:
-            pos = breaks.index(v)
-        except ValueError:
-            raise CharPointError(f"{v} is not a grid value on axis {axis}") from None
-        return pos + 1
-
-    sx = split_index(0, point[0])
-    sy = split_index(1, point[1])
-    m0, m1 = F.shape
-
-    # vertical rays: heights strictly above point[1]
-    for t in range(sy, m1 + 1):
-        lo = [F.table[(r, t)][0] for r in range(0, sx)]
-        hi = [F.table[(r, t)][0] for r in range(sx, m0 + 1)]
-        if lo and hi and max(lo) >= min(hi):
-            return RaysResult(
-                False,
-                {
-                    "direction": "vertical",
-                    "t_cell": t,
-                    "max_left_level": max(lo),
-                    "min_right_level": min(hi),
-                },
-            )
-    # horizontal rays: abscissas strictly right of point[0]
-    for s in range(sx, m0 + 1):
-        lo = [F.table[(s, c)][0] for c in range(0, sy)]
-        hi = [F.table[(s, c)][0] for c in range(sy, m1 + 1)]
-        if lo and hi and max(lo) >= min(hi):
-            return RaysResult(
-                False,
-                {
-                    "direction": "horizontal",
-                    "s_cell": s,
-                    "max_below_level": max(lo),
-                    "min_above_level": min(hi),
-                },
-            )
+    if len(point) != F.n:
+        raise CharPointError(f"point dimension {len(point)}, grid has {F.n}")
+    starts = []
+    for axis, (bs, v) in enumerate(zip(F.breakpoints, point)):
+        if is_finite(v) and v not in bs:
+            raise CharPointError(f"{v} is not a grid value on axis {axis}")
+        starts.append(bs.index(v) + 1 if is_finite(v) else 0)
+    table, shape = F.table, F.shape
+    for j, s in enumerate(starts):
+        rest = [range(r, m + 1) for i, (r, m) in enumerate(zip(starts, shape)) if i != j]
+        for other in product(*rest) if s else ():
+            line = [table[other[:j] + (r,) + other[j:]][0] for r in range(shape[j] + 1)]
+            below, above = max(line[:s]), min(line[s:])
+            if below >= above:
+                witness = {"axis": j, "line": list(other), "max_below_level": below,
+                           "min_above_level": above}
+                return RaysResult(False, witness)
     return RaysResult(True)
 
 

@@ -56,20 +56,19 @@ _INPUT_ERRORS = (
 )
 
 
-def _color_enabled() -> bool:
-    return sys.stdout.isatty() and os.environ.get("LEXSPEC_COLOR") != "0"
+def _paint(args, text: str, code: str) -> str:
+    """``text`` in colour when :func:`_emit` writes it to a terminal's stdout."""
+    if getattr(args, "out", None) or os.environ.get("LEXSPEC_COLOR") == "0":
+        return text
+    return f"\x1b[{code}m{text}\x1b[0m" if sys.stdout.isatty() else text
 
 
-def _paint(text: str, code: str) -> str:
-    return f"\x1b[{code}m{text}\x1b[0m" if _color_enabled() else text
+def _ok(args, text: str) -> str:
+    return _paint(args, text, "32")
 
 
-def _ok(text: str) -> str:
-    return _paint(text, "32")
-
-
-def _bad(text: str) -> str:
-    return _paint(text, "31")
+def _bad(args, text: str) -> str:
+    return _paint(args, text, "31")
 
 
 def _emit(args, text: str) -> None:
@@ -135,11 +134,11 @@ def cmd_charpoints(args) -> int:
     if args.json:
         _emit_doc(args, report.to_doc() | {"bounds": bounds_check(report).to_doc()})
     else:
-        _emit(args, _describe_blocks(report))
+        _emit(args, _describe_blocks(args, report))
     return 0
 
 
-def _describe_blocks(report) -> str:
+def _describe_blocks(args, report) -> str:
     lines = []
     for i in sorted(report.levels):
         for b in report.levels[i]:
@@ -158,11 +157,11 @@ def _describe_blocks(report) -> str:
     for entry in bc.to_doc()["per_level"]:
         lines.append(
             f"bound level {entry['level']}: {entry['count']} <= {entry['limit']} "
-            + (_ok("ok") if entry["count"] <= entry["limit"] else _bad("exceeded"))
+            + (_ok(args, "ok") if entry["count"] <= entry["limit"] else _bad(args, "exceeded"))
         )
     lines.append(
         f"bound total: {bc.total} <= {bc.total_limit} "
-        + (_ok("ok") if bc.total <= bc.total_limit else _bad("exceeded"))
+        + (_ok(args, "ok") if bc.total <= bc.total_limit else _bad(args, "exceeded"))
     )
     return "\n".join(lines) + "\n"
 
@@ -175,7 +174,7 @@ def cmd_axioms(args) -> int:
     else:
         lines = []
         for name, status in sorted(report.statuses.items()):
-            mark = _ok("pass") if status.ok else _bad("FAIL")
+            mark = _ok(args, "pass") if status.ok else _bad(args, "FAIL")
             line = f"{name}: {mark}"
             if status.note:
                 line += f"  ({status.note})"
@@ -194,13 +193,13 @@ def cmd_reconstruct(args) -> int:
         if args.json:
             _emit_doc(args, {"reconstructible": False, "reason": str(exc)})
         else:
-            _emit(args, _bad("not reconstructible") + f": {exc}\n")
+            _emit(args, _bad(args, "not reconstructible") + f": {exc}\n")
         return 1
     if isinstance(result, MismatchReport):
         if args.json:
             _emit_doc(args, result.to_doc())
         else:
-            _emit(args, _bad("mismatch") + f": {_mismatch_text(result)}\n")
+            _emit(args, _bad(args, "mismatch") + f": {_mismatch_text(result)}\n")
         return 1
     if args.json:
         _emit_doc(args, observable_to_doc(result))
@@ -232,7 +231,7 @@ def cmd_verify(args) -> int:
     else:
         lines = [f"seed {summary.seed}, {summary.trials} trials"]
         for name, stats in summary.to_doc()["checks"].items():
-            mark = _ok("ok") if stats["failures"] == 0 else _bad("FAIL")
+            mark = _ok(args, "ok") if stats["failures"] == 0 else _bad(args, "FAIL")
             lines.append(f"{name}: {stats['runs']} runs, {stats['failures']} failures {mark}")
         _emit(args, "\n".join(lines) + "\n")
     return 0 if summary.ok else 1
@@ -256,7 +255,7 @@ def cmd_example(args) -> int:
         out += _describe_atoms(obj)
     out += [f"T_{i} = {r}" for i, r in sorted(_level_regions(F).items())]
     report = all_blocks(F)
-    out.append(_describe_blocks(report).rstrip("\n"))
+    out.append(_describe_blocks(args, report).rstrip("\n"))
     if args.name == "3.7/9":
         try:
             result = reconstruct(F)

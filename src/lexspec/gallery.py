@@ -7,8 +7,6 @@ algebras; 3.7/9 is served as a corrected synthetic resolution (see note);
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .lexalg import AlgebraSignature, LexElement
 from .observable import DiscreteObservable, make_observable
 from .spectral import StepResolution
@@ -48,14 +46,7 @@ def example_names() -> list[str]:
 def build_observable(name: str) -> DiscreteObservable:
     k, atoms = _OBSERVABLE_CASES[name]
     sig = AlgebraSignature(k, 1)
-    return make_observable(
-        sig,
-        2,
-        [
-            (tuple(Fraction(c) for c in point), LexElement(sig, h, (g,)))
-            for point, (h, g) in atoms
-        ],
-    )
+    return make_observable(sig, 2, [(p, LexElement(sig, h, (g,))) for p, (h, g) in atoms])
 
 
 def build_example(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .boxgeom import Region, parse_rational
+from .boxgeom import Region, parse_rational, rational
 from .lexalg import (
     AlgebraSignature,
     LexElement,
@@ -52,7 +52,7 @@ class DiscreteObservable:
 
     def point_mass(self, point: Sequence[Fraction]) -> LexElement:
         """Weight of the atom at ``point``, or zero."""
-        p = tuple(Fraction(x) for x in point)
+        p = tuple(map(rational, point))
         if len(p) != self.n:
             raise ObservableError(f"point dimension {len(p)}, observable has {self.n}")
         for atom in self.atoms:
@@ -75,7 +75,7 @@ def make_observable(
         raise ObservableError(f"dimension must be >= 1, got {n}")
     normalized: list[Atom] = []
     for point, weight in atoms:
-        p = tuple(Fraction(x) for x in point)
+        p = tuple(map(rational, point))
         if len(p) != n:
             raise ObservableError(f"atom point {p} has dimension {len(p)}, expected {n}")
         if weight.signature != signature:
@@ -113,13 +113,8 @@ def _decode_int(v) -> int:
 
 
 def _decode_rational(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ObservableError(f"not a rational: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return parse_rational(v)
-    raise ObservableError(f"not a rational: {v!r}")
+    """A JSON coordinate: a ``p/q`` or decimal string, or an integer."""
+    return parse_rational(v) if isinstance(v, str) else rational(v)
 
 
 def _encode_element(a: LexElement) -> dict:

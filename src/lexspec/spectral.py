@@ -27,7 +27,7 @@ from math import prod
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .boxgeom import Box, RatPoint, cell_region
+from .boxgeom import Box, RatPoint, cell_region, rational
 from .lexalg import (
     AlgebraError,
     AlgebraSignature,
@@ -73,7 +73,7 @@ class StepResolution:
     ) -> None:
         self.signature = signature
         self.n = n
-        self.breakpoints = tuple(tuple(Fraction(b) for b in axis) for axis in breakpoints)
+        self.breakpoints = tuple(tuple(map(rational, axis)) for axis in breakpoints)
         self._table = None if table is None else dict(table)
         self._masses = None if masses is None else dict(masses)
 
@@ -111,7 +111,7 @@ class StepResolution:
         if len(point) != self.n:
             raise ResolutionError(f"point dimension {len(point)}, grid has {self.n}")
         return tuple(
-            bisect_left(self.breakpoints[j], Fraction(point[j])) for j in range(self.n)
+            bisect_left(self.breakpoints[j], rational(point[j])) for j in range(self.n)
         )
 
     def cell_box(self, idx: CellIndex) -> Box:
@@ -167,17 +167,15 @@ def _checked_table(
         raise ResolutionError(f"dimension must be >= 1, got {n}")
     if len(breakpoints) != n:
         raise ResolutionError(f"{len(breakpoints)} breakpoint axes for dimension {n}")
-    norm_breaks = []
-    for j, axis in enumerate(breakpoints):
-        bs = [Fraction(b) for b in axis]
+    F = StepResolution(signature, n, breakpoints, table=table)
+    for j, bs in enumerate(F.breakpoints):
         if not bs:
             raise ResolutionError(f"axis {j} needs at least one breakpoint")
         if any(bs[i] >= bs[i + 1] for i in range(len(bs) - 1)):
             raise ResolutionError(f"axis {j} breakpoints must be strictly increasing")
-        norm_breaks.append(tuple(bs))
     # Distinct in-shape keys, as many as the grid has cells, are the whole
     # grid; the grid itself is never built, as it may be far larger than the map.
-    shape = [len(bs) for bs in norm_breaks]
+    shape = F.shape
     extra = sorted(
         idx for idx in table
         if len(idx) != n or not all(0 <= r <= m for r, m in zip(idx, shape))
@@ -190,12 +188,20 @@ def _checked_table(
     for idx, t in table.items():
         if not _nonneg(t) or t[0] > k or (t[0] == k and max(t[1:]) > 0):  # 0 <= t <= u
             raise ResolutionError(f"cell {idx} value {_element(signature, t)} lies outside [0, u]")
-    return StepResolution(signature, n, norm_breaks, table=table)
+    return F
 
 
 # Largest dense grid from_observable builds: (m+1)^n cells for m atoms in
 # general position, so a small document can otherwise ask for billions.
 MAX_DENSE_CELLS = 1 << 20
+
+
+def _check_dense(cells: int) -> None:
+    """Refuse a dense grid of more than ``MAX_DENSE_CELLS`` cells."""
+    if cells > MAX_DENSE_CELLS:
+        raise ResolutionError(
+            f"dense grid of {cells} cells exceeds the limit of {MAX_DENSE_CELLS}"
+        )
 
 
 def from_observable(x: DiscreteObservable) -> StepResolution:
@@ -209,11 +215,7 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
     breaks = tuple(
         tuple(sorted({a.point[j] for a in x.atoms})) for j in range(x.n)
     )
-    cells = prod(len(bs) + 1 for bs in breaks)
-    if cells > MAX_DENSE_CELLS:
-        raise ResolutionError(
-            f"dense grid of {cells} cells exceeds the limit of {MAX_DENSE_CELLS}"
-        )
+    _check_dense(prod(len(bs) + 1 for bs in breaks))
     return StepResolution(x.signature, x.n, breaks, masses=_placed(x, breaks))
 
 
@@ -340,7 +342,7 @@ def _corner_sum(
     """
     ends = []
     for j, (a, b) in deltas.items():
-        a, b = Fraction(a), Fraction(b)
+        a, b = rational(a), rational(b)
         if a > b:
             raise ResolutionError(f"lower bound exceeds upper bound: {a} > {b}")
         ends.append((j, bisect_left(F.breakpoints[j], a), bisect_left(F.breakpoints[j], b)))
@@ -361,7 +363,7 @@ def point_mass_via_deltas(F: StepResolution, point: Sequence[Fraction]) -> LexEl
     is attained once p_j + delta_j stays inside the cell above p_j; half the
     gap to the next breakpoint (or 1 beyond the last) does it exactly.
     """
-    p = [Fraction(c) for c in point]
+    p = [rational(c) for c in point]
     if len(p) != F.n:
         raise ResolutionError(f"point dimension {len(p)}, grid has {F.n}")
     bounds = []

@@ -11,6 +11,7 @@ by tests/test_verify.py for the chained-union random suite region and the
 ``Fraction``-drawing random observable,
 by tests/test_charpoints.py and tests/test_verify.py for the walking
 projections, the antichain length and the tuple-keyed block pass,
+by tests/test_charpoints.py for the planar ray scan,
 by tests/test_spectral.py and tests/test_charpoints.py for the random
 resolutions, the masses by corner sums and the cell-by-cell reconstruction
 witness,
@@ -37,7 +38,14 @@ from lexspec.boxgeom import (
     is_finite,
     union,
 )
-from lexspec.charpoints import Block, CharPointError, MismatchReport, _point, all_blocks
+from lexspec.charpoints import (
+    Block,
+    CharPointError,
+    MismatchReport,
+    RaysResult,
+    _point,
+    all_blocks,
+)
 from lexspec.lexalg import (
     AlgebraSignature,
     LexElement,
@@ -431,6 +439,39 @@ def max_antichain(report) -> int | None:
             if xj < xi and yj > yi:
                 best[i] = max(best[i], best[j] + 1)
     return max(best)
+
+
+def reference_rays_2d(F, point) -> RaysResult:
+    """The planar ray check as two mirrored passes: vertical rays at every
+    height from the point's second run start, then horizontal rays at every
+    abscissa from its first; the witness names the direction and the line."""
+
+    def split_index(axis, v) -> int:
+        if not is_finite(v):
+            return 0
+        breaks = F.breakpoints[axis]
+        try:
+            pos = breaks.index(v)
+        except ValueError:
+            raise CharPointError(f"{v} is not a grid value on axis {axis}") from None
+        return pos + 1
+
+    sx = split_index(0, point[0])
+    sy = split_index(1, point[1])
+    m0, m1 = F.shape
+    for t in range(sy, m1 + 1):
+        lo = [F.table[(r, t)][0] for r in range(0, sx)]
+        hi = [F.table[(r, t)][0] for r in range(sx, m0 + 1)]
+        if lo and hi and max(lo) >= min(hi):
+            return RaysResult(False, {"direction": "vertical", "t_cell": t,
+                                      "max_left_level": max(lo), "min_right_level": min(hi)})
+    for s in range(sx, m0 + 1):
+        lo = [F.table[(s, c)][0] for c in range(0, sy)]
+        hi = [F.table[(s, c)][0] for c in range(sy, m1 + 1)]
+        if lo and hi and max(lo) >= min(hi):
+            return RaysResult(False, {"direction": "horizontal", "s_cell": s,
+                                      "max_below_level": max(lo), "min_above_level": min(hi)})
+    return RaysResult(True)
 
 
 def reference_blocks(F) -> list:

@@ -31,11 +31,21 @@ from lexspec.boxgeom import (
     parse_interval,
     parse_point,
     parse_region,
+    rational,
     union,
 )
 from lexspec.charpoints import level_regions
 from lexspec.lexalg import AlgebraSignature, LexElement
-from lexspec.spectral import from_cells, from_observable
+from lexspec.observable import _decode_rational, make_observable, observable_to_json
+from lexspec.spectral import (
+    StepResolution,
+    from_cells,
+    from_observable,
+    partial_delta,
+    point_mass_via_deltas,
+    resolution_to_json,
+    volume,
+)
 from lexspec.verify import SplitMix64, TrialConfig, _random_grid_region, random_observable
 
 from oracles import reference_cell_box, region_equal
@@ -79,6 +89,61 @@ class TestInterval:
     def test_int_ends_accepted(self):
         iv = Interval(0, True, 1, False)
         assert str(Region(1, [box(iv)])) == "[0,1)"
+
+
+_SIG = AlgebraSignature(1, 1)
+_X = make_observable(_SIG, 2, [((Q(1), Q(0)), _SIG.unit)])
+_F = from_observable(make_observable(_SIG, 2, [((Q(2), Q(3)), _SIG.unit)]))
+_LINE = {(r,): _SIG.zero for r in range(2)} | {(2,): _SIG.unit}
+
+# Every public entry of a caller's coordinate, as (build from the coordinate
+# c, text of the result).  Each must pass c through ``boxgeom.rational``.
+_GATED = {
+    "rational": (rational, str),
+    "Interval": (lambda c: Interval(c, True, Q(5), False), str),
+    "closed_open": (lambda c: closed_open(c, 5), str),
+    "open_closed": (lambda c: open_closed(-5, c), str),
+    "below": (below, str),
+    "above": (lambda c: above(c, closed=True), str),
+    "halfopen_box": (lambda c: halfopen_box([c, 0], [5, 5]), str),
+    "lower_orthant": (lambda c: lower_orthant([0, c]), str),
+    "make_observable": (
+        lambda c: make_observable(_SIG, 2, [((c, Q(0)), _SIG.unit)]), observable_to_json),
+    "point_mass": (lambda c: _X.point_mass((c, 0)), str),
+    "_decode_rational": (_decode_rational, str),
+    "StepResolution": (
+        lambda c: StepResolution(_SIG, 1, [[c]], masses={(1,): (1, 0)}), resolution_to_json),
+    "from_cells": (lambda c: from_cells(_SIG, 1, [[c, 7]], _LINE), resolution_to_json),
+    "cell_of_point": (lambda c: _F.cell_of_point((c, 0)), str),
+    "volume": (lambda c: volume(_F, [(c, 5), (0, 5)]), str),
+    "partial_delta": (lambda c: partial_delta(_F, {0: (0, c)}, (0, 4)), str),
+    "point_mass_via_deltas": (lambda c: point_mass_via_deltas(_F, (c, 3)), str),
+}
+
+
+class TestExactGate:
+    """One rule for a caller's coordinate: int and Fraction are equal
+    inputs, anything else is a :class:`GeometryError`."""
+
+    @pytest.mark.parametrize("entry", list(_GATED))
+    def test_int_and_fraction_give_equal_results(self, entry):
+        build, text = _GATED[entry]
+        a, b = build(2), build(Q(2))
+        assert a == b and text(a) == text(b)
+
+    @pytest.mark.parametrize("inexact", [2.0, Decimal(2), "2", True, None],
+                             ids=["float", "Decimal", "str", "bool", "None"])
+    @pytest.mark.parametrize("entry", list(_GATED))
+    def test_inexact_coordinate_refused(self, entry, inexact):
+        build, _ = _GATED[entry]
+        if entry == "_decode_rational" and isinstance(inexact, str):
+            assert build(inexact) == 2  # strings are the JSON form of a rational
+            return
+        with pytest.raises(GeometryError, match="must be an int or a Fraction"):
+            if entry == "Interval" and inexact is True:
+                Interval(False, True, True, False)  # bool ends on both sides
+            else:
+                build(inexact)
 
 
 class TestRunInterval:

@@ -9,11 +9,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from lexspec.boxgeom import Box, Region, above, is_finite, open_closed
+from lexspec.boxgeom import NEG_INF, Box, Region, above, is_finite, open_closed
 from lexspec.charpoints import (
     CharPointError,
     MismatchReport,
     NotReconstructibleError,
+    RaysResult,
     ReconstructionError,
     _blocks,
     all_blocks,
@@ -44,6 +45,7 @@ from oracles import (
     oracle_char_points,
     projection,
     reference_blocks,
+    reference_rays_2d,
     resolutions,
 )
 
@@ -273,12 +275,78 @@ class TestRays:
         result = rays_check(F, (Q(2), Q(3)))
         assert not result.ok
         assert result.witness is not None
+        assert result == _planar(reference_rays_2d(F, (Q(2), Q(3))))
 
-    def test_dimension_guard(self):
-        sig = AlgebraSignature(1, 1)
-        x = make_observable(sig, 1, [((1,), sig.unit)])
-        with pytest.raises(CharPointError):
-            rays_check(from_observable(x), (Q(1),))
+    def test_point_off_the_grid_or_of_another_dimension_refused(self):
+        F = F_of("3.7/7")
+        with pytest.raises(CharPointError, match="not a grid value on axis 1"):
+            rays_check(F, (Q(2), Q(1, 3)))
+        with pytest.raises(CharPointError, match="point dimension 1, grid has 2"):
+            rays_check(F, (Q(2),))
+
+    @pytest.mark.parametrize(
+        "family",
+        ["random_observables", "random_levels", "pathological_antichain", "pathological_chain"],
+    )
+    def test_planar_scan_matches_the_mirrored_passes(self, family):
+        """Same verdict and first failing line as the two planar passes, on
+        every point whose coordinates are breakpoints or -inf."""
+        failures = 0
+        for F in _planar_resolutions(family):
+            for p in product(*[(NEG_INF, *bs) for bs in F.breakpoints]):
+                result = rays_check(F, p)
+                assert result == _planar(reference_rays_2d(F, p)), (F, p)
+                failures += not result.ok
+        assert failures  # every family has points whose rays fail
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrialConfig(seed=41, trials=0, k_range=(1, 6), n_range=(1, 1)),
+            TrialConfig(seed=42, trials=0, k_range=(1, 6), n_range=(3, 3), max_atoms=8),
+            # coordinates collide on every axis
+            TrialConfig(seed=43, trials=0, k_range=(2, 6), n_range=(3, 3), max_atoms=8,
+                        coord_denominator_bound=1, coord_range=(-1, 1)),
+        ],
+        ids=["n1", "n3", "n3-collisions"],
+    )
+    def test_genuine_char_points_pass_in_other_dimensions(self, config):
+        for i in range(60):
+            F = from_observable(random_observable(config, i))
+            for p in all_blocks(F).char_points():
+                assert rays_check(F, p).ok, (config.seed, i, p)
+
+
+def _planar(result):
+    """A planar reference result with its witness in the n-dimensional form."""
+    w = result.witness
+    if w is None:
+        return result
+    if w["direction"] == "vertical":
+        w = {"axis": 0, "line": [w["t_cell"]], "max_below_level": w["max_left_level"],
+             "min_above_level": w["min_right_level"]}
+    else:
+        w = {"axis": 1, "line": [w["s_cell"]], "max_below_level": w["max_below_level"],
+             "min_above_level": w["min_above_level"]}
+    return RaysResult(False, w)
+
+
+def _planar_resolutions(family):
+    if family == "random_observables":
+        cfg = TrialConfig(seed=32, trials=0, k_range=(1, 5), n_range=(2, 2), max_atoms=8)
+        yield from (from_observable(random_observable(cfg, i)) for i in range(40))
+    elif family == "random_levels":
+        rng = SplitMix64(33)
+        for _ in range(60):
+            sig = AlgebraSignature(rng.randint(1, 4), 1)
+            breaks = [range(1, rng.randint(1, 4) + 1) for _ in range(2)]
+            cells = product(*[range(len(bs) + 1) for bs in breaks])
+            values = {idx: LexElement(sig, rng.randint(0, sig.k), (0,)) for idx in cells}
+            yield from_cells(sig, 2, breaks, values)
+    else:
+        style = family.partition("_")[2]
+        for m, k in product(range(1, 7), range(1, 5)):
+            yield pathological_family(m, k, style)
 
 
 class TestMaxAntichain:

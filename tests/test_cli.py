@@ -83,6 +83,35 @@ class TestCharpoints:
         assert doc["bounds"]["ok"] is True
 
 
+class TestColour:
+    """Marks are painted only when the text goes to stdout on a terminal."""
+
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            (["charpoints"], "ok"),
+            (["axioms"], "pass"),
+            (["verify", "--trials", "2"], "ok"),
+            (["example", "3.7/7"], "ok"),
+        ],
+        ids=["charpoints", "axioms", "verify", "example"],
+    )
+    def test_out_file_is_plain(self, argv, word, ex1, tmp_path, capsys, monkeypatch):
+        if argv[0] in ("charpoints", "axioms"):
+            argv = [*argv, "--input", ex1]
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        monkeypatch.delenv("LEXSPEC_COLOR", raising=False)
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "\x1b" not in text and f" {word}" in text
+        assert main(argv) == 0
+        assert f"\x1b[32m{word}\x1b[0m" in capsys.readouterr().out
+        monkeypatch.setenv("LEXSPEC_COLOR", "0")
+        assert main(argv) == 0
+        assert "\x1b" not in capsys.readouterr().out
+
+
 class TestAxioms:
     def test_pass(self, ex1, capsys):
         assert main(["axioms", "--input", ex1]) == 0
