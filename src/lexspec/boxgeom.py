@@ -333,6 +333,26 @@ def cell_region(
     return region
 
 
+def cell_ends(breakpoints: Sequence[Sequence[Fraction]]) -> list[tuple[list[str], list[str]]]:
+    """Per axis of the grid on ``breakpoints``, the text a cell run prints at
+    its lower end, by start index (``(-inf``, ``(b_0``, ...), and at its upper
+    end, by end index (``b_0]``, ..., ``+inf)``)."""
+    texts = [[format_rational(b) for b in bs] for bs in breakpoints]
+    return [(["(-inf", *["(" + t for t in ts]], [*[t + "]" for t in ts], "+inf)"]) for ts in texts]
+
+
+def cell_region_text(
+    ends: Sequence[tuple[Sequence[str], Sequence[str]]], cells: Iterable[tuple[int, ...]]
+) -> str:
+    """``str(cell_region(breakpoints, cells))`` for distinct ``cells``, given
+    ``ends = cell_ends(breakpoints)``: printed from the merged cell runs,
+    without a box, an interval or a formatted rational."""
+    return " u ".join(
+        "x".join([lo[run[2 * j]] + "," + hi[run[2 * j + 1]] for j, (lo, hi) in enumerate(ends)])
+        for run in _merged_runs(len(ends), cells)
+    ) or "empty"
+
+
 def _boolean_op(r1: Region, r2: Region, keep) -> Region:
     """``keep`` picks atomic cells from the two regions' cells on their common
     grid; the result is canonicalized from those cells."""
@@ -409,9 +429,7 @@ def format_interval(iv: Interval) -> str:
 
 
 def format_region(r: Region) -> str:
-    if r.is_empty():
-        return "empty"
-    return " u ".join(str(b) for b in r.boxes)
+    return " u ".join(str(b) for b in r.boxes) or "empty"
 
 
 _INTERVAL_RE = re.compile(

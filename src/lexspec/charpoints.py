@@ -10,7 +10,7 @@ indexed by the run starts (start 0 stands for -inf, which only pathological
 resolutions produce and which is flagged).  A block is a cell-index record on
 its grid; its characteristic point is read off the breakpoints, and its region
 is built by :func:`boxgeom.cell_region` on each access, without a box per
-cell.
+cell.  Block text (JSON and CLI) and the SVG read its merged cell runs instead.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from itertools import product
 from typing import Sequence
 
 from .boxgeom import NEG_INF, ExtRat, Region, cell_region, format_rational, is_finite
+from .boxgeom import cell_ends, cell_region_text
 from .lexalg import LexElement, group_add
 from .observable import DiscreteObservable, ObservableError, make_observable
 from .spectral import (
@@ -86,12 +87,14 @@ class Block:
         return cell_region(self.breakpoints, self.cells)
 
     def to_doc(self) -> dict:
+        return self._doc(cell_ends(self.breakpoints))
+
+    def _doc(self, ends: list[tuple[list[str], list[str]]]) -> dict:
+        """:meth:`to_doc`, its texts read off ``ends = cell_ends(self.breakpoints)``."""
         return {
             "level": self.level,
-            "char_point": [
-                None if not is_finite(c) else format_rational(c) for c in self.char_point
-            ],
-            "region": str(self.region),
+            "char_point": [lo[r][1:] if r else None for (lo, _), r in zip(ends, self.starts)],
+            "region": cell_region_text(ends, self.cells),
             "landing_levels": list(self.landing_levels),
             "char_point_level": self.char_point_level,
             "t0_adjoined": self.t0_adjoined,
@@ -117,19 +120,17 @@ class LevelDecomposition:
 
 @dataclass(frozen=True, slots=True)
 class BlockReport:
-    """All blocks of a resolution, grouped by level.
-
-    ``point_starts`` are the blocks' distinct run-start vectors, sorted; they
-    order exactly like the characteristic points ``points`` they index.
-    """
+    """All blocks of a resolution on the grid ``breakpoints``, grouped by level.
+    ``points`` are the distinct characteristic points, sorted by run starts,
+    which order exactly like the points."""
 
     k: int
     n: int
     levels: dict[int, tuple[Block, ...]]
     axioms: AxiomReport
     pathological: bool
-    point_starts: list[tuple[int, ...]]
     points: list[ExtPoint]
+    breakpoints: tuple[tuple[Fraction, ...], ...]
 
     def all_blocks(self) -> list[Block]:
         return [b for i in sorted(self.levels) for b in self.levels[i]]
@@ -142,13 +143,14 @@ class BlockReport:
         return {i: len(bs) for i, bs in sorted(self.levels.items())}
 
     def to_doc(self) -> dict:
+        ends = cell_ends(self.breakpoints)
         return {
             "k": self.k,
             "n": self.n,
             "pathological": self.pathological,
             "axioms_ok": self.axioms.ok,
             "levels": {
-                str(i): [b.to_doc() for b in bs] for i, bs in sorted(self.levels.items())
+                str(i): [b._doc(ends) for b in bs] for i, bs in sorted(self.levels.items())
             },
             "char_points": [format_ext_point(p) for p in self.points],
             "counts": {str(i): len(bs) for i, bs in sorted(self.levels.items())},
@@ -176,15 +178,14 @@ def all_blocks(F: StepResolution) -> BlockReport:
     levels: dict[int, list[Block]] = {}
     for block in found:
         levels.setdefault(block.level, []).append(block)
-    point_starts = sorted({b.starts for b in found})
     return BlockReport(
         k=F.signature.k,
         n=F.n,
         levels={i: tuple(bs) for i, bs in levels.items()},
         axioms=axioms,
         pathological=(not axioms.ok) or any(b.flags for b in found),
-        point_starts=point_starts,
-        points=[_point(F.breakpoints, r) for r in point_starts],
+        points=[_point(F.breakpoints, r) for r in sorted({b.starts for b in found})],
+        breakpoints=F.breakpoints,
     )
 
 

@@ -15,7 +15,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .boxgeom import GeometryError, parse_point
+from .boxgeom import GeometryError, cell_ends, parse_point
 from .charpoints import (
     MismatchReport,
     ReconstructionError,
@@ -29,6 +29,7 @@ from .charpoints import (
 from .gallery import UnknownExampleError, build_example, example_names
 from .lexalg import AlgebraError, format_element
 from .observable import (
+    MAX_K,
     DiscreteObservable,
     ObservableError,
     observable_from_doc,
@@ -140,14 +141,15 @@ def cmd_charpoints(args) -> int:
 
 def _describe_blocks(args, report) -> str:
     lines = []
-    for i in sorted(report.levels):
-        for b in report.levels[i]:
-            adj = "T0-adjoined" if b.t0_adjoined else "not adjoined"
-            lines.append(
-                f"level {i}  char {format_ext_point(b.char_point)}  "
-                f"region {b.region}  infimum {format_element(b.infimum)}  {adj}"
-                + (f"  flags: {', '.join(b.flags)}" if b.flags else "")
-            )
+    ends = cell_ends(report.breakpoints)
+    for b in report.all_blocks():
+        doc = b._doc(ends)
+        char = "(" + ", ".join(c or "-inf" for c in doc["char_point"]) + ")"
+        adj = "T0-adjoined" if b.t0_adjoined else "not adjoined"
+        lines.append(
+            f"level {b.level}  char {char}  region {doc['region']}  infimum {doc['infimum']}  "
+            + adj + (f"  flags: {', '.join(b.flags)}" if b.flags else "")
+        )
     pts = report.char_points()
     lines.append(
         f"characteristic points ({len(pts)}): "
@@ -254,29 +256,28 @@ def cmd_example(args) -> int:
         out.append(f"atoms (k={obj.signature.k}, d={obj.signature.d}, n={obj.n}):")
         out += _describe_atoms(obj)
     out += [f"T_{i} = {r}" for i, r in sorted(_level_regions(F).items())]
-    report = all_blocks(F)
-    out.append(_describe_blocks(args, report).rstrip("\n"))
+    out.append(_describe_blocks(args, all_blocks(F)).rstrip("\n"))
     if args.name == "3.7/9":
         try:
             result = reconstruct(F)
         except ReconstructionError as exc:
             out.append(f"reconstruction: {exc}")
         else:
-            if isinstance(result, MismatchReport):
-                out.append(f"reconstruction mismatch: {_mismatch_text(result)}")
-            else:
-                out.append("reconstruction: round-trip succeeded")
+            mismatch = isinstance(result, MismatchReport)
+            out.append(f"reconstruction mismatch: {_mismatch_text(result)}" if mismatch
+                       else "reconstruction: round-trip succeeded")
     _emit(args, "\n".join(out) + "\n")
     return 0
 
 
-def _at_least(lo: int):
-    """argparse type: an integer >= ``lo``, else a usage error (exit 2)."""
+def _at_least(lo: int, hi: int | None = None):
+    """argparse type: an integer in [``lo``, ``hi``], else a usage error (exit 2)."""
 
     def integer(text: str) -> int:
         value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if value < lo else f"<= {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     return integer
@@ -322,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "--json")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(0), default=100)
-    p.add_argument("--k", type=_at_least(1), default=None, help="largest unit height to draw")
+    p.add_argument("--k", type=_at_least(1, MAX_K), default=None,
+                   help="largest unit height to draw")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw the 2-D level map")
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="analyze a built-in example")
     p.add_argument("name", help=f"one of: {', '.join(example_names())}")
-    p.add_argument("--k", type=_at_least(1), default=None, help="algebra height for patho/M")
+    p.add_argument("--k", type=_at_least(1, MAX_K), default=None, help="algebra height for patho/M")
     add_common(p)
     p.set_defaults(func=cmd_example)
 

@@ -106,6 +106,19 @@ def _encode_rational(v: Fraction):
     return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+# Largest unit height k a document or a CLI option may ask for: level tables
+# and bounds have one entry per level, so a tiny input could ask for millions.
+MAX_K = 1 << 12
+
+
+def _decode_signature(doc: dict) -> AlgebraSignature:
+    """A document's ``k`` and ``d``; a k above ``MAX_K`` is refused at once."""
+    k = _decode_int(doc["k"])
+    if k > MAX_K:
+        raise ObservableError(f"k = {k} exceeds the limit of {MAX_K}")
+    return AlgebraSignature(k, _decode_int(doc["d"]))
+
+
 def _decode_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ObservableError(f"not an integer: {v!r}")
@@ -159,7 +172,7 @@ def observable_to_doc(x: DiscreteObservable) -> dict:
 
 def observable_from_doc(doc: dict) -> DiscreteObservable:
     try:
-        signature = AlgebraSignature(_decode_int(doc["k"]), _decode_int(doc["d"]))
+        signature = _decode_signature(doc)
         n = _decode_int(doc["n"])
         atoms = [
             (

@@ -3,11 +3,12 @@
 Both renderers draw the bounding box of the finite breakpoints padded by one
 unit, fill each level set distinctly, draw block boundaries, and mark
 characteristic points (with coordinates, in the SVG).  They read the cell
-grid directly: an ASCII column or row is a cell index, and an SVG coordinate
-is looked up by value.  Nothing is clipped, because nothing can leave the
-box: every region end is a breakpoint or an infinity (drawn at the padded
-edge), and every finite characteristic point is a vector of breakpoints.
-Identical input yields byte-identical output.
+grid directly: an ASCII column or row is a cell index, an SVG coordinate is
+read by cell index from a per-axis list, and a block's SVG rectangles are its
+merged cell runs, with no region built.  Nothing is clipped, because nothing
+can leave the box: every region end is a breakpoint or an infinity (drawn at
+the padded edge), and every finite characteristic point is a vector of
+breakpoints.  Identical input yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from collections import Counter
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
-from .boxgeom import NEG_INF, POS_INF, format_rational
-from .charpoints import Block, ExtPoint, _blocks, _point, format_ext_point
+from .boxgeom import _merged_runs, format_rational
+from .charpoints import Block, _blocks, _point, format_ext_point
 from .spectral import StepResolution
 
 
@@ -31,20 +32,21 @@ ASCII_HEIGHT = 24
 _GLYPHS = ".123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _frame(F: StepResolution) -> tuple[list[Block], list[ExtPoint], tuple[Fraction, ...]]:
-    """Blocks, finite characteristic points in sorted order, and the padded box."""
+def _frame(F: StepResolution) -> tuple[list[Block], list[tuple[int, ...]], tuple[Fraction, ...]]:
+    """Blocks, the run starts of the finite characteristic points in sorted
+    order, and the padded box."""
     if F.n != 2:
         raise RenderError("rendering needs a two-dimensional resolution")
     found = _blocks(F)
     starts = sorted({b.starts for b in found if 0 not in b.starts})
     xs, ys = F.breakpoints
     bbox = (xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + 1)
-    return found, [_point(F.breakpoints, r) for r in starts], bbox
+    return found, starts, bbox
 
 
 def render_ascii(F: StepResolution) -> str:
     """Level map on a fixed 60x24 character grid; characteristic points are '*'."""
-    found, points, (xmin, xmax, ymin, ymax) = _frame(F)
+    found, starts, (xmin, xmax, ymin, ymax) = _frame(F)
     present = sorted({t[0] for t in F.table.values()})
     if present[-1] >= len(_GLYPHS):
         raise RenderError(f"level {present[-1]} has no ASCII glyph; use --format svg")
@@ -54,7 +56,7 @@ def render_ascii(F: StepResolution) -> str:
     cols = [bisect_left(xs, xmin + dx * c + dx / 2) for c in range(ASCII_WIDTH)]
     rows = [bisect_left(ys, ymax - dy * r - dy / 2) for r in range(ASCII_HEIGHT)]
     grid = [[_GLYPHS[F.table[(c, r)][0]] for c in cols] for r in rows]
-    for px, py in points:
+    for px, py in (_point(F.breakpoints, r) for r in starts):
         grid[int((ymax - py) / dy)][int((px - xmin) / dx)] = "*"
     lines = ["+" + "-" * ASCII_WIDTH + "+"]
     lines += ["|" + "".join(row) + "|" for row in grid]
@@ -92,63 +94,59 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _rect(x: str, y: str, w, h, fill: str, stroke: str = "#333333") -> str:
+    return (f'<rect x="{x}" y="{y}" width="{w}" height="{h}" '
+            f'fill="{fill}" stroke="{stroke}" stroke-width="1"/>')
+
+
 def render_svg(F: StepResolution) -> str:
     """SVG 1.1 level map with block outlines and labelled characteristic points."""
-    found, points, (xmin, xmax, ymin, ymax) = _frame(F)
+    found, starts, (xmin, xmax, ymin, ymax) = _frame(F)
     xs, ys = F.breakpoints
     k = F.signature.k
+    present = sorted({t[0] for t in F.table.values()})
+    shade = {lv: _shade(lv, k) for lv in present}
     plot_h = _SVG_H - _LEGEND_H
-    # Screen coordinate of every breakpoint and padded end; -inf and +inf
-    # are drawn at the padded ends.
+    # Screen coordinate of each padded end and breakpoint, in order: cells
+    # r0 .. r1 span X[r0] .. X[r1 + 1], and a point's run start r is at X[r].
     try:
         sx = (_SVG_W - 2 * _MARGIN) / float(xmax - xmin)
         sy = (plot_h - 2 * _MARGIN) / float(ymax - ymin)
         fxmin, fymin = float(xmin), float(ymin)
-        X = {x: _MARGIN + (float(x) - fxmin) * sx for x in (xmin, *xs, xmax)}
-        Y = {y: plot_h - _MARGIN - (float(y) - fymin) * sy for y in (ymin, *ys, ymax)}
+        X = [_MARGIN + (float(x) - fxmin) * sx for x in (xmin, *xs, xmax)]
+        Y = [plot_h - _MARGIN - (float(y) - fymin) * sy for y in (ymin, *ys, ymax)]
     except OverflowError:
         raise RenderError("coordinates beyond float range; use --format ascii") from None
-    X[NEG_INF], X[POS_INF] = X[xmin], X[xmax]
-    Y[NEG_INF], Y[POS_INF] = Y[ymin], Y[ymax]
+    x_text, y_text = [_fmt(v) for v in X], [_fmt(v) for v in Y]
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_W}" height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect x="{_fmt(X[xmin])}" y="{_fmt(Y[ymax])}" '
-        f'width="{_fmt(X[xmax] - X[xmin])}" height="{_fmt(Y[ymin] - Y[ymax])}" '
-        f'fill="{_shade(0, k)}" stroke="#444444" stroke-width="1"/>',
+        _rect(x_text[0], y_text[-1], _fmt(X[-1] - X[0]), _fmt(Y[0] - Y[-1]), _shade(0, k),
+              "#444444"),
     ]
-    # blocks, one rectangle per region box
+    # blocks, one rectangle per merged run of cells (the region's boxes)
     for block in found:
-        for box in block.region.boxes:
-            (ix, iy) = box.dims
-            x0, x1, y0, y1 = X[ix.lo], X[ix.hi], Y[iy.lo], Y[iy.hi]
-            out.append(
-                f'<rect x="{_fmt(x0)}" y="{_fmt(y1)}" '
-                f'width="{_fmt(x1 - x0)}" height="{_fmt(y0 - y1)}" '
-                f'fill="{_shade(block.level, k)}" stroke="#333333" stroke-width="1"/>'
-            )
-    for p in points:
-        cx, cy = X[p[0]], Y[p[1]]
+        fill = shade[block.level]
+        for x0, x1, y0, y1 in _merged_runs(2, block.cells):
+            out.append(_rect(x_text[x0], y_text[y1 + 1], _fmt(X[x1 + 1] - X[x0]),
+                             _fmt(Y[y0] - Y[y1 + 1]), fill))
+    for rx, ry in starts:
+        cx, cy = X[rx], Y[ry]
         out.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" '
+            f'<circle cx="{x_text[rx]}" cy="{y_text[ry]}" r="3.5" '
             f'fill="#b2182b" stroke="#ffffff" stroke-width="1"/>'
         )
-        label = escape(format_ext_point(p))
+        label = escape(format_ext_point(_point(F.breakpoints, (rx, ry))))
         out.append(
             f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" '
             f'font-family="monospace" font-size="11" fill="#111111">{label}</text>'
         )
     # legend: nonempty levels only
-    present = sorted({t[0] for t in F.table.values()})
-    lx = float(_MARGIN)
-    ly = float(plot_h - _MARGIN + 30)
+    lx, ly = float(_MARGIN), float(plot_h - _MARGIN + 30)
     for lv in present:
-        out.append(
-            f'<rect x="{_fmt(lx)}" y="{_fmt(ly)}" width="14" height="14" '
-            f'fill="{_shade(lv, k)}" stroke="#333333" stroke-width="1"/>'
-        )
+        out.append(_rect(_fmt(lx), _fmt(ly), 14, 14, shade[lv]))
         out.append(
             f'<text x="{_fmt(lx + 18)}" y="{_fmt(ly + 11)}" '
             f'font-family="monospace" font-size="12" fill="#111111">T_{lv}</text>'

@@ -8,9 +8,10 @@ nonnegative-increment (volume) conditions are checkable facts, not type
 invariants, so pathological resolutions can be represented and studied.
 
 F at a cell is the sum of the atomic masses at or below it.  A resolution
-stores what it was built from, the value table ``F.table`` (from cells) or
-the sparse map ``F.masses`` of nonzero masses (from an observable), and
-derives the other on first read with one :func:`_sweep`.  Both hold flat
+stores what it was built from, the value table ``F.table`` (from cells) or the
+sparse map ``F.masses`` of nonzero masses (from an observable), and derives the
+other on first read with one :func:`_sweep`, which reads the grid as one list
+in cell order and each axis line as one strided slice of it.  Both hold flat
 integer tuples ``(h, g_1, ..., g_d)``; ``LexElement`` objects are built only
 for what is returned (``eval_F``, volumes, witnesses, and ``F.values``).
 """
@@ -41,6 +42,7 @@ from .observable import (
     _decode_int,
     _decode_list,
     _decode_rational,
+    _decode_signature,
     _encode_rational,
     make_observable,
 )
@@ -252,23 +254,30 @@ def _sweep(
 ) -> None:
     """Prefix-sum a map of flat cell values in place along each of ``axes``;
     with ``diff``, take first differences instead, reading cells below index 0
-    as zero.
+    as zero.  The map keeps its key order.
 
     The two undo each other (Moebius inversion on a product of chains): a
     resolution is the prefix sum over all axes of its atomic masses, so every
     volume and partial difference on the grid is a sum of masses.  This is the
-    only place the grid is summed or differenced.
+    only place the grid is summed or differenced.  The map is read once into a
+    list in ``product`` (cell) order, where each axis-j line is one extended
+    slice ``flat[first:base + span:stride]`` (``stride`` is the cell count of
+    the axes after j), read and written back whole; one update ends the sweep.
     """
+    cells = list(product(*[range(m + 1) for m in shape]))
+    flat = [values[idx] for idx in cells]
     for axis in axes:
-        rest = [range(m + 1) for j, m in enumerate(shape) if j != axis]
-        for other in product(*rest):
-            line = [other[:axis] + (r,) + other[axis:] for r in range(shape[axis] + 1)]
-            comps = zip(*[values[idx] for idx in line])
-            if diff:
-                comps = [(c[0], *map(sub, c[1:], c)) for c in comps]
-            else:
-                comps = map(accumulate, comps)
-            values.update(zip(line, zip(*comps)))
+        stride = prod(m + 1 for m in shape[axis + 1:])
+        span = stride * (shape[axis] + 1)
+        for base in range(0, len(flat), span):
+            for first in range(base, base + stride):
+                comps = zip(*flat[first:base + span:stride])
+                if diff:
+                    comps = [(c[0], *map(sub, c[1:], c)) for c in comps]
+                else:
+                    comps = map(accumulate, comps)
+                flat[first:base + span:stride] = zip(*comps)
+    values.update(zip(cells, flat))
 
 
 def to_observable(F: StepResolution) -> DiscreteObservable:
@@ -346,7 +355,7 @@ def _corner_sum(
         if a > b:
             raise ResolutionError(f"lower bound exceeds upper bound: {a} > {b}")
         ends.append((j, bisect_left(F.breakpoints[j], a), bisect_left(F.breakpoints[j], b)))
-    cell = list(F.cell_of_point(point))
+    cell = [0] * F.n if len(ends) == F.n else list(F.cell_of_point(point))
     total: Flat = (0,) * (F.signature.d + 1)
     for eps in product((0, 1), repeat=len(ends)):
         for (j, lo, hi), e in zip(ends, eps):
@@ -554,7 +563,7 @@ def resolution_to_doc(F: StepResolution) -> dict:
 
 def resolution_from_doc(doc: dict) -> StepResolution:
     try:
-        signature = AlgebraSignature(_decode_int(doc["k"]), _decode_int(doc["d"]))
+        signature = _decode_signature(doc)
         n = _decode_int(doc["n"])
         axes = _decode_list(doc["breakpoints"])
         breakpoints = [[_decode_rational(b) for b in _decode_list(axis)] for axis in axes]

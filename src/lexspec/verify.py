@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 
 from .charpoints import (
@@ -235,10 +235,7 @@ def pathological_family(m: int, k: int, style: str = "antichain") -> StepResolut
     breaks = range(1, m + 1)
     values: dict[tuple[int, int], LexElement] = {}
     if style == "antichain":
-        heights = [1] * (m - 1) + [max(1, k - m + 1)]
-        prefix = [0]
-        for h in heights:
-            prefix.append(prefix[-1] + h)
+        prefix = [0, *accumulate([1] * (m - 1) + [max(1, k - m + 1)])]
         for r, c in product(range(m + 1), repeat=2):
             jlo = max(1, m + 1 - c)
             jhi = min(r, m)
@@ -362,12 +359,8 @@ def _observable_laws_hold(
 
 def _point_mass_agrees(rng: SplitMix64, x: DiscreteObservable, F: StepResolution) -> bool:
     points = [a.point for a in x.atoms]
-    for j in range(2):
-        points.append(
-            tuple(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(x.n)
-            )
-        )
+    points += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(x.n))
+               for _ in range(2)]
     return all(x.point_mass(p) == point_mass_via_deltas(F, p) for p in points)
 
 

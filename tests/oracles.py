@@ -15,6 +15,8 @@ by tests/test_charpoints.py for the planar ray scan,
 by tests/test_spectral.py and tests/test_charpoints.py for the random
 resolutions, the masses by corner sums and the cell-by-cell reconstruction
 witness,
+by tests/test_spectral.py for the line-by-line grid sweep,
+by tests/test_render.py for the SVG drawn from region boxes,
 and by tests/test_lexalg.py and tests/test_boxgeom.py for small helpers that
 only tests use.
 """
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction as Q
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from operator import sub
+from xml.sax.saxutils import escape
 
 from hypothesis import strategies as st
 
@@ -43,8 +47,10 @@ from lexspec.charpoints import (
     CharPointError,
     MismatchReport,
     RaysResult,
+    _blocks,
     _point,
     all_blocks,
+    format_ext_point,
 )
 from lexspec.lexalg import (
     AlgebraSignature,
@@ -56,6 +62,7 @@ from lexspec.lexalg import (
     mv_oplus,
 )
 from lexspec.observable import make_observable
+from lexspec.render import _LEGEND_H, _MARGIN, _SVG_H, _SVG_W, _fmt, _shade
 from lexspec.spectral import (
     StepResolution,
     eval_F,
@@ -429,7 +436,7 @@ def max_antichain(report) -> int | None:
     """Largest pairwise-incomparable set of characteristic points (n = 2 only)."""
     if report.n != 2:
         return None
-    pts = report.point_starts
+    pts = report.points
     if not pts:
         return 0
     best = [1] * len(pts)
@@ -622,3 +629,67 @@ def check_masses(F, result) -> None:
         assert reference_mismatch(F, result.candidate) == {f: getattr(result, f) for f in fields}
     elif result is not None:
         assert reference_mismatch(F, result) is None
+
+
+def reference_sweep(values, shape, axes, diff=False) -> None:
+    """The grid sweep one axis line at a time: each line's cell indices are
+    built and looked up in the map, then prefix-summed (or differenced,
+    reading cells below index 0 as zero) component by component."""
+    for axis in axes:
+        rest = [range(m + 1) for j, m in enumerate(shape) if j != axis]
+        for other in product(*rest):
+            line = [other[:axis] + (r,) + other[axis:] for r in range(shape[axis] + 1)]
+            comps = zip(*[values[idx] for idx in line])
+            if diff:
+                comps = [(c[0], *map(sub, c[1:], c)) for c in comps]
+            else:
+                comps = map(accumulate, comps)
+            values.update(zip(line, zip(*comps)))
+
+
+def reference_render_svg(F) -> str:
+    """The SVG level map drawn from each block's region boxes, with screen
+    coordinates looked up by end value (-inf and +inf at the padded ends)."""
+    found = _blocks(F)
+    points = [_point(F.breakpoints, r) for r in sorted({b.starts for b in found})
+              if 0 not in r]
+    xs, ys = F.breakpoints
+    xmin, xmax, ymin, ymax = xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + 1
+    k = F.signature.k
+    plot_h = _SVG_H - _LEGEND_H
+    sx = (_SVG_W - 2 * _MARGIN) / float(xmax - xmin)
+    sy = (plot_h - 2 * _MARGIN) / float(ymax - ymin)
+    X = {x: _MARGIN + (float(x) - float(xmin)) * sx for x in (xmin, *xs, xmax)}
+    Y = {y: plot_h - _MARGIN - (float(y) - float(ymin)) * sy for y in (ymin, *ys, ymax)}
+    X[NEG_INF], X[POS_INF], Y[NEG_INF], Y[POS_INF] = X[xmin], X[xmax], Y[ymin], Y[ymax]
+
+    def rect(x, y, w, h, fill, stroke="#333333"):
+        return (f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{w}" height="{h}" '
+                f'fill="{fill}" stroke="{stroke}" stroke-width="1"/>')
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_SVG_W}" height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        rect(X[xmin], Y[ymax], _fmt(X[xmax] - X[xmin]), _fmt(Y[ymin] - Y[ymax]),
+             _shade(0, k), "#444444"),
+    ]
+    for block in found:
+        for box in block.region.boxes:
+            ix, iy = box.dims
+            out.append(rect(X[ix.lo], Y[iy.hi], _fmt(X[ix.hi] - X[ix.lo]),
+                            _fmt(Y[iy.lo] - Y[iy.hi]), _shade(block.level, k)))
+    for p in points:
+        cx, cy = X[p[0]], Y[p[1]]
+        out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" '
+                   f'fill="#b2182b" stroke="#ffffff" stroke-width="1"/>')
+        out.append(f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" font-family="monospace" '
+                   f'font-size="11" fill="#111111">{escape(format_ext_point(p))}</text>')
+    lx, ly = float(_MARGIN), float(plot_h - _MARGIN + 30)
+    for lv in sorted({v.h for v in F.values.values()}):
+        out.append(rect(lx, ly, 14, 14, _shade(lv, k)))
+        out.append(f'<text x="{_fmt(lx + 18)}" y="{_fmt(ly + 11)}" font-family="monospace" '
+                   f'font-size="12" fill="#111111">T_{lv}</text>')
+        lx += 70.0
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

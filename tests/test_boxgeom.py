@@ -19,7 +19,9 @@ from lexspec.boxgeom import (
     _run_interval,
     above,
     below,
+    cell_ends,
     cell_region,
+    cell_region_text,
     closed_open,
     complement,
     difference,
@@ -538,6 +540,18 @@ class TestCellRegion:
         want = Region(len(breakpoints), [reference_cell_box(grid_F, idx) for idx in cells])
         got = cell_region(grid_F.breakpoints, iter(cells))
         assert got.n == want.n and got.boxes == want.boxes
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_cell_subsets(), st.sampled_from(["drawn", "empty", "single", "full"]))
+    def test_run_text_matches_the_region_text(self, grid, which):
+        breakpoints, cells = grid
+        everything = list(product(*[range(len(bs) + 1) for bs in breakpoints]))
+        cells = {
+            "drawn": set(cells), "empty": set(), "single": set(everything[-1:]),
+            "full": set(everything),
+        }[which]
+        text = cell_region_text(cell_ends(breakpoints), cells)
+        assert text == str(cell_region(breakpoints, cells))
 
     def _assert_level_partition(self, F):
         decomp = level_regions(F)

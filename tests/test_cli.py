@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import lexspec
 from lexspec.cli import build_parser, main
 from lexspec.gallery import build_observable
-from lexspec.observable import observable_from_doc, observable_to_json
+from lexspec.observable import MAX_K, observable_from_doc, observable_to_json
 from lexspec.spectral import MAX_DENSE_CELLS, from_observable, resolution_to_json
 from lexspec.verify import mismatch_resolution, pathological_family
 
@@ -490,6 +490,46 @@ _json_values = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+
+
+def _two_cell_doc(kind: str, k: int) -> dict:
+    """The smallest document of ``kind`` with unit height ``k``."""
+    if kind == "observable":
+        return {"kind": kind, "k": k, "d": 1, "n": 1,
+                "atoms": [{"point": [0], "weight": {"h": k, "g": [0]}}]}
+    cells = [{"index": [r], "value": {"h": k * r, "g": [0]}} for r in (0, 1)]
+    return {"kind": kind, "k": k, "d": 1, "n": 1, "breakpoints": [[0]], "cells": cells}
+
+
+class TestUnitHeightCap:
+    """Level tables and bounds have one entry per level, so a huge k in a tiny
+    input is refused where it enters, before anything is allocated."""
+
+    @pytest.mark.parametrize("kind", ["observable", "resolution"])
+    @pytest.mark.parametrize("sub", [["charpoints", "--json"], ["regions", "--json"], ["axioms"]])
+    def test_huge_k_in_a_document(self, tmp_path, capsys, kind, sub):
+        path = tmp_path / "huge_k.json"
+        path.write_text(json.dumps(_two_cell_doc(kind, 10**9)))
+        start = time.perf_counter()
+        assert main([sub[0], "--input", str(path), *sub[1:]]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"k = {10**9} exceeds the limit of {MAX_K}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["example", "patho/3"], ["verify", "--trials", "1"]])
+    def test_huge_k_option(self, capsys, argv):
+        start = time.perf_counter()
+        assert _exit_code([*argv, "--k", str(10**9)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"must be <= {MAX_K}, got {10**9}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["observable", "resolution"])
+    def test_the_cap_itself_is_accepted(self, tmp_path, capsys, kind):
+        path = tmp_path / "cap_k.json"
+        path.write_text(json.dumps(_two_cell_doc(kind, MAX_K)))
+        assert main(["charpoints", "--input", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["k"] == MAX_K and len(doc["bounds"]["per_level"]) == MAX_K
+        assert main(["example", "patho/2", "--k", str(MAX_K)]) == 0
 
 
 def _mutate(draw, doc) -> None:

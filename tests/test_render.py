@@ -25,7 +25,7 @@ from lexspec.verify import (
     saturating_family,
 )
 
-from oracles import reference_ascii_rows
+from oracles import reference_ascii_rows, reference_render_svg
 
 
 def _level_table(rng: SplitMix64):
@@ -72,6 +72,20 @@ class TestRenderDigest:
             h.update(render_ascii(F).encode())
             h.update(render_svg(F).encode())
         assert h.hexdigest() == "f1ccf6dbb8408c3b65f71243761e639ba46ff6ac3286f01fb64b1a5d97865786"
+
+
+class TestSvgFromCellRuns:
+    @pytest.mark.parametrize("m", [1, 2, 5, 9])
+    @pytest.mark.parametrize("k", [1, 3, 4])
+    @pytest.mark.parametrize("style", ["antichain", "chain"])
+    def test_pathological_family(self, m, k, style):
+        F = pathological_family(m, k, style)
+        assert render_svg(F) == reference_render_svg(F)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_saturating_family(self, k):
+        F = from_observable(saturating_family(k))
+        assert render_svg(F) == reference_render_svg(F)
 
 
 @st.composite

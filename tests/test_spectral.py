@@ -45,6 +45,7 @@ from oracles import (
     reference_cell_box,
     reference_partial_delta,
     reference_point_mass,
+    reference_sweep,
     reference_volume,
     resolutions,
 )
@@ -474,6 +475,33 @@ def corner_sum_cases(draw):
         axes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
         deltas = {j: bounds[j] for j in axes}
     return F, bounds, deltas, point
+
+
+@st.composite
+def sweep_cases(draw):
+    """A value map on a grid of n = 1..4 axes with at most 5 cells each, flat
+    tuples of length d + 1 (d = 1..2) in a shuffled key order, and an ordered
+    subset of the axes."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 2))
+    shape = draw(st.tuples(*[st.integers(0, 4)] * n))
+    cells = draw(st.permutations(list(product(*[range(m + 1) for m in shape]))))
+    flat = st.tuples(*[st.integers(-9, 9)] * (d + 1))
+    values = {idx: draw(flat) for idx in cells}
+    axes = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return values, shape, axes
+
+
+class TestStridedSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cases(), st.booleans())
+    def test_matches_the_line_by_line_sweep(self, case, diff):
+        values, shape, axes = case
+        want = dict(values)
+        reference_sweep(want, shape, axes, diff=diff)
+        got = dict(values)
+        _sweep(got, shape, axes, diff=diff)
+        assert got == want and list(got) == list(values)
 
 
 class TestCornerSumReference:
