@@ -21,12 +21,12 @@ rank them again with ``Region(...)``: the benchmark's instrumentation test
 counts that call, so emitting the merged runs directly waits for a
 benchmark change (ROADMAP.md, item 5).
 
-Regions on a left-open right-closed breakpoint grid (:func:`cell_region`)
-merge the grid cells themselves: on an axis with m breakpoints, the run of
-cells r0 .. r1 is the run of pieces 2r0 .. min(2r1+1, 2m), a map strictly
-increasing in both ends, so the boxes and their order are the piece-level ones.
-Every run is nonempty on sorted distinct values, so its interval is valid
-by construction and skips the validation of public ``Interval(...)``.
+Cells of a left-open right-closed breakpoint grid print straight from their
+merged cell runs (:func:`cell_region_text`): on an axis with m breakpoints,
+cells r0 .. r1 are pieces 2r0 .. min(2r1+1, 2m), a map strictly increasing in
+both ends, so the text is canonical; :func:`parse_region` reads the
+:class:`Region` back.  Runs are nonempty on sorted distinct values, so their
+intervals are valid by construction and skip ``Interval`` validation.
 """
 
 from __future__ import annotations
@@ -316,23 +316,6 @@ class Region:
         return f"Region({self.n}, {format_region(self)!r})"
 
 
-def cell_region(
-    breakpoints: Sequence[Sequence[Fraction]], cells: Iterable[tuple[int, ...]]
-) -> Region:
-    """Union of cells of the grid on ``breakpoints`` (strictly increasing per
-    axis), where cell r of an axis is (b_{r-1}, b_r] with b_{-1} = -inf and
-    b_m = +inf.  The cells are merged on the grid, and each run of cells r0 .. r1
-    becomes the run of pieces 2r0 .. min(2r1+1, 2m)."""
-    region = object.__new__(Region)
-    region.n = len(breakpoints)
-    region.boxes = tuple(
-        Box(tuple(_run_interval(bs, 2 * run[2 * j], min(2 * run[2 * j + 1] + 1, 2 * len(bs)))
-                  for j, bs in enumerate(breakpoints)))
-        for run in _merged_runs(region.n, set(cells))
-    )
-    return region
-
-
 def cell_ends(breakpoints: Sequence[Sequence[Fraction]]) -> list[tuple[list[str], list[str]]]:
     """Per axis of the grid on ``breakpoints``, the text a cell run prints at
     its lower end, by start index (``(-inf``, ``(b_0``, ...), and at its upper
@@ -344,9 +327,10 @@ def cell_ends(breakpoints: Sequence[Sequence[Fraction]]) -> list[tuple[list[str]
 def cell_region_text(
     ends: Sequence[tuple[Sequence[str], Sequence[str]]], cells: Iterable[tuple[int, ...]]
 ) -> str:
-    """``str(cell_region(breakpoints, cells))`` for distinct ``cells``, given
-    ``ends = cell_ends(breakpoints)``: printed from the merged cell runs,
-    without a box, an interval or a formatted rational."""
+    """Canonical text of the union of distinct ``cells`` of the grid on
+    ``breakpoints``, whose cell r of an axis is (b_{r-1}, b_r] (b_{-1} = -inf,
+    b_m = +inf), given ``ends = cell_ends(breakpoints)``: printed from the
+    merged cell runs, with no box, interval or formatted rational."""
     return " u ".join(
         "x".join([lo[run[2 * j]] + "," + hi[run[2 * j + 1]] for j, (lo, hi) in enumerate(ends)])
         for run in _merged_runs(len(ends), cells)

@@ -8,9 +8,9 @@ and cells sharing one characteristic point form a block.  Everything here is
 exact cell-index arithmetic: for step functions the infima are breakpoints,
 indexed by the run starts (start 0 stands for -inf, which only pathological
 resolutions produce and which is flagged).  A block is a cell-index record on
-its grid; its characteristic point is read off the breakpoints, and its region
-is built by :func:`boxgeom.cell_region` on each access, without a box per
-cell.  Block text (JSON and CLI) and the SVG read its merged cell runs instead.
+its grid; its characteristic point is read off the breakpoints.  Level and
+block text (JSON and CLI) is printed from merged cell runs by
+:func:`boxgeom.cell_region_text`; a ``Region`` is parsed back only on request.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .boxgeom import NEG_INF, ExtRat, Region, cell_region, format_rational, is_finite
+from .boxgeom import NEG_INF, ExtRat, Region, format_rational, is_finite, parse_region
 from .boxgeom import cell_ends, cell_region_text
 from .lexalg import LexElement, group_add
 from .observable import DiscreteObservable, ObservableError, make_observable
@@ -64,8 +64,8 @@ class Block:
 
     A cell-index record on the grid ``breakpoints``: ``starts`` is the members'
     run-start vector and ``cells`` the members in cell order.  The
-    characteristic point is read off the breakpoints; the region is built from
-    the cells on each access, so callers that never read it pay nothing.
+    characteristic point is read off the breakpoints; the region is parsed from
+    the cells' text on each access, so callers that never read it pay nothing.
     """
 
     level: int
@@ -84,7 +84,8 @@ class Block:
 
     @property
     def region(self) -> Region:
-        return cell_region(self.breakpoints, self.cells)
+        text = cell_region_text(cell_ends(self.breakpoints), self.cells)
+        return parse_region(text, len(self.starts))
 
     def to_doc(self) -> dict:
         return self._doc(cell_ends(self.breakpoints))
@@ -105,16 +106,21 @@ class Block:
 
 @dataclass(frozen=True, slots=True)
 class LevelDecomposition:
-    """Exact region of each level 0..k; pathological inputs are flagged."""
+    """Region text of each level 0..k in R^n, and whether the input is pathological."""
 
-    regions: dict[int, Region]
+    texts: dict[int, str]
+    n: int
     axioms: AxiomReport
     pathological: bool
+
+    @property
+    def regions(self) -> dict[int, Region]:
+        return {i: parse_region(t, self.n) for i, t in self.texts.items()}
 
     def to_doc(self) -> dict:
         return {
             "pathological": self.pathological,
-            "levels": {str(i): str(r) for i, r in sorted(self.regions.items())},
+            "levels": {str(i): t for i, t in sorted(self.texts.items())},
         }
 
 
@@ -160,15 +166,16 @@ class BlockReport:
 def level_regions(F: StepResolution) -> LevelDecomposition:
     """Group cells by the height of their value into exact regions."""
     axioms = check_axioms(F)
-    return LevelDecomposition(_level_regions(F), axioms, not axioms.ok)
+    return LevelDecomposition(_level_texts(F), F.n, axioms, not axioms.ok)
 
 
-def _level_regions(F: StepResolution) -> dict[int, Region]:
-    """The region of each level 0..k, without an axiom check."""
+def _level_texts(F: StepResolution) -> dict[int, str]:
+    """The region text of each level 0..k, without an axiom check."""
     cells: dict[int, list[CellIndex]] = {i: [] for i in range(F.signature.k + 1)}
     for idx, t in F.table.items():
         cells[t[0]].append(idx)
-    return {i: cell_region(F.breakpoints, cs) for i, cs in cells.items()}
+    ends = cell_ends(F.breakpoints)
+    return {i: cell_region_text(ends, cs) for i, cs in cells.items()}
 
 
 def all_blocks(F: StepResolution) -> BlockReport:
@@ -325,7 +332,7 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     return MismatchReport(
         candidate=candidate,
         witness_point=F.cell_rep(idx),
-        witness_cell=str(F.cell_box(idx)),
+        witness_cell=cell_region_text(cell_ends(F.breakpoints), [idx]),
         value_f=_element(F.signature, F.table[idx]),
         value_candidate=_element(F.signature, induced[idx]),
     )

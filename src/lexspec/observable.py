@@ -110,6 +110,11 @@ def _encode_rational(v: Fraction):
 # and bounds have one entry per level, so a tiny input could ask for millions.
 MAX_K = 1 << 12
 
+# Most digits a coordinate's numerator or denominator may have: Python prints
+# at most 4300, and a coordinate is also printed one past itself (render, witnesses).
+MAX_DIGITS = 4000
+_TOO_LONG = 10 ** MAX_DIGITS
+
 
 def _decode_signature(doc: dict) -> AlgebraSignature:
     """A document's ``k`` and ``d``; a k above ``MAX_K`` is refused at once."""
@@ -126,8 +131,12 @@ def _decode_int(v) -> int:
 
 
 def _decode_rational(v) -> Fraction:
-    """A JSON coordinate: a ``p/q`` or decimal string, or an integer."""
-    return parse_rational(v) if isinstance(v, str) else rational(v)
+    """A JSON coordinate: a ``p/q`` or decimal string, or an integer, with at
+    most ``MAX_DIGITS`` digits above and below the line."""
+    q = parse_rational(v) if isinstance(v, str) else rational(v)
+    if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+        raise ObservableError(f"a coordinate has more than {MAX_DIGITS} digits")
+    return q
 
 
 def _encode_element(a: LexElement) -> dict:

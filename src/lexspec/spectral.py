@@ -28,7 +28,7 @@ from math import prod
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .boxgeom import Box, RatPoint, cell_region, rational
+from .boxgeom import RatPoint, cell_ends, cell_region_text, rational
 from .lexalg import (
     AlgebraError,
     AlgebraSignature,
@@ -116,10 +116,6 @@ class StepResolution:
             bisect_left(self.breakpoints[j], rational(point[j])) for j in range(self.n)
         )
 
-    def cell_box(self, idx: CellIndex) -> Box:
-        """The cell ``idx`` as a box: left open, right closed on each axis."""
-        return cell_region(self.breakpoints, [idx]).boxes[0]
-
     def cell_rep(self, idx: CellIndex) -> RatPoint:
         """Deterministic representative point: the closed right end of each axis
         interval, or one past the last breakpoint on the top cell."""
@@ -177,12 +173,13 @@ def _checked_table(
             raise ResolutionError(f"axis {j} breakpoints must be strictly increasing")
     # Distinct in-shape keys, as many as the grid has cells, are the whole
     # grid; the grid itself is never built, as it may be far larger than the map.
+    # It has at least 2^n cells, so the product is skipped when 2^n > len(table).
     shape = F.shape
     extra = sorted(
         idx for idx in table
         if len(idx) != n or not all(0 <= r <= m for r, m in zip(idx, shape))
     )
-    if extra or len(table) != prod(m + 1 for m in shape):
+    if extra or n >= len(table).bit_length() or len(table) != prod(m + 1 for m in shape):
         cells = product(*[range(m + 1) for m in shape])
         missing = list(islice((idx for idx in cells if idx not in table), 3))
         raise ResolutionError(f"cell map mismatch: missing {missing}, extra {extra[:3]}")
@@ -198,12 +195,14 @@ def _checked_table(
 MAX_DENSE_CELLS = 1 << 20
 
 
-def _check_dense(cells: int) -> None:
-    """Refuse a dense grid of more than ``MAX_DENSE_CELLS`` cells."""
-    if cells > MAX_DENSE_CELLS:
-        raise ResolutionError(
-            f"dense grid of {cells} cells exceeds the limit of {MAX_DENSE_CELLS}"
-        )
+def _check_dense(counts: Sequence[int]) -> None:
+    """Refuse a dense grid of more than ``MAX_DENSE_CELLS`` cells, given its
+    cell count per axis.  Every axis has at least two cells, so more axes than
+    log2(``MAX_DENSE_CELLS``) are refused before the counts are multiplied."""
+    many = len(counts) >= MAX_DENSE_CELLS.bit_length()
+    cells = f"at least 2^{len(counts)}" if many else prod(counts)
+    if many or cells > MAX_DENSE_CELLS:
+        raise ResolutionError(f"dense grid of {cells} cells exceeds the limit of {MAX_DENSE_CELLS}")
 
 
 def from_observable(x: DiscreteObservable) -> StepResolution:
@@ -217,7 +216,7 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
     breaks = tuple(
         tuple(sorted({a.point[j] for a in x.atoms})) for j in range(x.n)
     )
-    _check_dense(prod(len(bs) + 1 for bs in breaks))
+    _check_dense([len(bs) + 1 for bs in breaks])
     return StepResolution(x.signature, x.n, breaks, masses=_placed(x, breaks))
 
 
@@ -430,8 +429,8 @@ class AxiomReport:
 
 
 def _cell_doc(F: StepResolution, idx: CellIndex, t: Flat) -> dict:
-    value = _element(F.signature, t)
-    return {"index": list(idx), "cell": str(F.cell_box(idx)), "value": str(value)}
+    cell = cell_region_text(cell_ends(F.breakpoints), [idx])
+    return {"index": list(idx), "cell": cell, "value": str(_element(F.signature, t))}
 
 
 def check_axioms(F: StepResolution) -> AxiomReport:

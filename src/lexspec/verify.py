@@ -204,7 +204,7 @@ def saturating_family(k: int) -> DiscreteObservable:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_dense((k + 1) ** 2)
+    _check_dense((k + 1, k + 1))
     sig = AlgebraSignature(k, 1)
     one = LexElement(sig, 1, (0,))
     atoms = [((j, k + 1 - j), one) for j in range(1, k + 1)]
@@ -230,7 +230,7 @@ def pathological_family(m: int, k: int, style: str = "antichain") -> StepResolut
         raise ValueError("m and k must be >= 1")
     if style not in ("antichain", "chain"):
         raise ValueError(f"unknown style {style!r}")
-    _check_dense((m + 1) ** 2)
+    _check_dense((m + 1, m + 1))
     sig = AlgebraSignature(k, 1)
     breaks = range(1, m + 1)
     values: dict[tuple[int, int], LexElement] = {}

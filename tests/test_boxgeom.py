@@ -20,7 +20,6 @@ from lexspec.boxgeom import (
     above,
     below,
     cell_ends,
-    cell_region,
     cell_region_text,
     closed_open,
     complement,
@@ -529,7 +528,7 @@ class TestCellRegion:
             {idx: sig.zero for idx in product(*[range(len(bs) + 1) for bs in breakpoints])},
         )
         want = Region(len(breakpoints), [reference_cell_box(grid_F, idx) for idx in cells])
-        got = cell_region(grid_F.breakpoints, cells)
+        got = parse_region(cell_region_text(cell_ends(grid_F.breakpoints), set(cells)), want.n)
         assert got.n == want.n and got.boxes == want.boxes
 
     @settings(max_examples=300, deadline=None)
@@ -538,7 +537,7 @@ class TestCellRegion:
         breakpoints, cells = grid
         grid_F = _zero_grid(breakpoints)
         want = Region(len(breakpoints), [reference_cell_box(grid_F, idx) for idx in cells])
-        got = cell_region(grid_F.breakpoints, iter(cells))
+        got = parse_region(cell_region_text(cell_ends(grid_F.breakpoints), set(cells)), want.n)
         assert got.n == want.n and got.boxes == want.boxes
 
     @settings(max_examples=300, deadline=None)
@@ -551,7 +550,9 @@ class TestCellRegion:
             "full": set(everything),
         }[which]
         text = cell_region_text(cell_ends(breakpoints), cells)
-        assert text == str(cell_region(breakpoints, cells))
+        grid_F = _zero_grid(breakpoints)
+        want = Region(len(breakpoints), [reference_cell_box(grid_F, idx) for idx in cells])
+        assert text == str(want) and parse_region(text, want.n) == want
 
     def _assert_level_partition(self, F):
         decomp = level_regions(F)

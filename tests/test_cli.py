@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import lexspec
 from lexspec.cli import build_parser, main
 from lexspec.gallery import build_observable
-from lexspec.observable import MAX_K, observable_from_doc, observable_to_json
+from lexspec.observable import MAX_DIGITS, MAX_K, observable_from_doc, observable_to_json
 from lexspec.spectral import MAX_DENSE_CELLS, from_observable, resolution_to_json
 from lexspec.verify import mismatch_resolution, pathological_family
 
@@ -151,6 +151,12 @@ class TestReconstruct:
 
     def test_not_reconstructible(self, bad_resolution, capsys):
         assert main(["reconstruct", "--input", bad_resolution]) == 1
+
+    def test_mismatch_text(self, mismatch, capsys):
+        assert main(["reconstruct", "--input", mismatch]) == 1
+        assert capsys.readouterr().out == (
+            "mismatch: cell (1,3]x(2,3] has value (0; 3) but the induced observable gives (0; 0)\n"
+        )
 
 
 class TestVerify:
@@ -320,6 +326,27 @@ class TestLoadDocument:
         assert "dense grid of 4750104241 cells" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["observable", "resolution"])
+    def test_many_axes_refused_before_multiplying(self, tmp_path, capsys, kind):
+        # every axis has at least two cells, so 20000 axes are refused on sight
+        n = 20000
+        doc = {"kind": kind, "k": 1, "d": 1, "n": n}
+        if kind == "observable":
+            doc["atoms"] = [{"point": [0] * n, "weight": {"h": 1, "g": [0]}}]
+        else:
+            doc["breakpoints"] = [[0]] * n
+            doc["cells"] = [{"index": [0] * n, "value": {"h": 0, "g": [0]}}]
+        path = tmp_path / "axes.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["axioms", "--input", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        if kind == "observable":
+            assert f"dense grid of at least 2^{n} cells exceeds the limit" in err
+        else:
+            assert "cell map mismatch" in err
+
+    @pytest.mark.parametrize("kind", ["observable", "resolution"])
     def test_non_integer_field_exit_code(self, tmp_path, capsys, kind):
         x = build_observable("3.7/1")
         if kind == "observable":
@@ -472,6 +499,85 @@ class TestInputErrorsExitTwo:
         assert main(["eval", "--input", str(path), "--point", point]) == 2
         assert time.perf_counter() - start < 1.0
         assert "exponent notation" in capsys.readouterr().err
+
+
+def _malformed_docs():
+    """Inputs that each break one rule of the document format or of a point:
+    the document, the argv that reads it and the message it exits 2 with."""
+    cell = lambda idx, h: {"index": idx, "value": {"h": h, "g": [0]}}
+    res = lambda n, bps, cells: {"kind": "resolution", "k": 1, "d": 1, "n": n,
+                                 "breakpoints": bps, "cells": cells}
+    obs = lambda k, point, weight: {"kind": "observable", "k": k, "d": 1, "n": 2,
+                                    "atoms": [{"point": point, "weight": weight}]}
+    ex1 = json.loads(observable_to_json(build_observable("3.7/1")))
+    return {
+        "eval_point_dimension": (ex1, ["eval", "--point", "1,2,3"],
+                                 "point dimension 3, grid has 2"),
+        "resolution_n0": (res(0, [], [cell([], 1)]), ["charpoints"],
+                          "dimension must be >= 1, got 0"),
+        "resolution_missing_axis": (res(2, [[0]], [cell([0], 0), cell([1], 1)]), ["charpoints"],
+                                    "1 breakpoint axes for dimension 2"),
+        "resolution_empty_axis": (res(1, [[]], [cell([0], 1)]), ["charpoints"],
+                                  "axis 0 needs at least one breakpoint"),
+        "atom_dimension": (obs(1, [1, 2, 3], {"h": 1, "g": [0]}), ["charpoints"],
+                           "has dimension 3, expected 2"),
+        "weight_components": (obs(1, [1, 2], {"h": 1, "g": [0, 0]}), ["charpoints"],
+                              "bad element document: {'h': 1, 'g': [0, 0]}"),
+        "k0": (obs(0, [1, 2], {"h": 0, "g": [0]}), ["charpoints"], "k must be >= 1, got 0"),
+    }
+
+
+class TestMalformedDocumentsExitTwo:
+    @pytest.mark.parametrize("case", sorted(_malformed_docs()))
+    def test_exits_two_with_its_message(self, tmp_path, capsys, case):
+        doc, argv, message = _malformed_docs()[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+        assert message in capsys.readouterr().err
+
+
+def _long_coordinate_doc(kind: str, number) -> dict:
+    """An observable with ``number`` as a coordinate, or a two-cell resolution
+    with ``number`` as its breakpoint and a negative top mass, whose volume
+    witness prints one past the breakpoint."""
+    if kind == "observable":
+        return {"kind": kind, "k": 1, "d": 1, "n": 2,
+                "atoms": [{"point": [number, 0], "weight": {"h": 1, "g": [0]}}]}
+    cells = [{"index": [r], "value": {"h": 1 - r, "g": [0]}} for r in (0, 1)]
+    return {"kind": kind, "k": 1, "d": 1, "n": 1, "breakpoints": [[number]], "cells": cells}
+
+
+class TestCoordinateDigits:
+    """A coordinate is printed one unit past itself (the render frame, a top
+    cell's representative point), so one too long to print after a step of
+    one is refused where it enters."""
+
+    @pytest.mark.parametrize("number", ["9" * 4300, 10**4300 - 1, 10**MAX_DIGITS,
+                                        "1/" + "7" * 4001, "0." + "0" * 4000 + "1"],
+                             ids=["string", "integer", "bound", "denominator", "decimal"])
+    @pytest.mark.parametrize("kind, argv", [("observable", ["render"]),
+                                            ("resolution", ["axioms"]),
+                                            ("resolution", ["charpoints", "--json"])],
+                             ids=["render", "axioms", "charpoints"])
+    def test_refused(self, tmp_path, capsys, number, kind, argv):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(_long_coordinate_doc(kind, number)))
+        start = time.perf_counter()
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"a coordinate has more than {MAX_DIGITS} digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", [10**MAX_DIGITS - 1, "-" + "9" * MAX_DIGITS,
+                                        "1/" + "9" * MAX_DIGITS],
+                             ids=["integer", "negative", "denominator"])
+    def test_the_bound_itself_is_accepted(self, tmp_path, capsys, number):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(_long_coordinate_doc("observable", number)))
+        assert main(["render", "--input", str(path)]) == 0
+        path.write_text(json.dumps(_long_coordinate_doc("resolution", number)))
+        assert main(["axioms", "--input", str(path)]) == 1
+        assert "volume_nonneg: FAIL" in capsys.readouterr().out
 
 
 _VALID_DOCS = (

@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lexspec import spectral
 from lexspec.charpoints import ReconstructionError, reconstruct
 from lexspec.gallery import build_observable
 from lexspec.lexalg import AlgebraError, AlgebraSignature, LexElement, in_unit_interval
@@ -21,6 +22,7 @@ from lexspec.spectral import (
     MAX_DENSE_CELLS,
     ResolutionError,
     StepResolution,
+    _cell_doc,
     _element,
     _sweep,
     additive_extension,
@@ -237,6 +239,13 @@ class TestFromCells:
         with pytest.raises(ResolutionError, match="outside"):
             from_cells(sig, 2, ((Q(1),), (Q(1),)), values)
 
+    def test_cell_count_not_multiplied_out_when_2_to_the_n_exceeds_the_map(self, monkeypatch):
+        monkeypatch.setattr(spectral, "prod", None)  # any call raises TypeError
+        sig = AlgebraSignature(1, 1)
+        half = {(r, s, 0): sig.zero for r in range(2) for s in range(2)}  # 4 of the 8 cells
+        with pytest.raises(ResolutionError, match="cell map mismatch"):
+            from_cells(sig, 3, [[Q(0)]] * 3, half)
+
     def test_unsorted_breakpoints_rejected(self):
         sig = AlgebraSignature(2, 1)
         with pytest.raises(ResolutionError, match="increasing"):
@@ -254,8 +263,8 @@ class TestFromCells:
                     breaks.append(sorted(ends))
                 cells = product(*[range(len(bs) + 1) for bs in breaks])
                 F = from_cells(sig, n, breaks, dict.fromkeys(cells, sig.zero))
-                for idx in F.cells():
-                    assert F.cell_box(idx) == reference_cell_box(F, idx)
+                for idx, t in F.table.items():
+                    assert _cell_doc(F, idx, t)["cell"] == str(reference_cell_box(F, idx))
 
 
 class TestCheckAxioms:

@@ -3,11 +3,12 @@ from __future__ import annotations
 import hashlib
 import importlib
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st, target
 
-from lexspec import cli
+from lexspec import cli, verify
 from lexspec.charpoints import (
     MismatchReport,
     NotReconstructibleError,
@@ -387,3 +388,17 @@ class TestRunSuite:
         assert summary.ok, summary.to_doc()
         assert summary.runs["axioms"] == 40
         assert summary.runs["reconstruct_roundtrip"] > 0
+
+    def test_failures_are_counted_and_the_first_25_listed(self, monkeypatch):
+        monkeypatch.setattr(verify, "bounds_check", lambda report: SimpleNamespace(ok=False))
+        summary = run_suite(TrialConfig(seed=3, trials=30))
+        assert summary.ok is False and summary.total_failures == 30
+        assert summary.failures == {name: 30 if name == "bounds" else 0 for name in summary.runs}
+        assert summary.failing == [{"index": i, "check": "bounds"} for i in range(25)]
+        doc = summary.to_doc()
+        assert doc["ok"] is False and doc["checks"]["bounds"] == {"runs": 30, "failures": 30}
+
+    def test_a_failing_check_makes_verify_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "bounds_check", lambda report: SimpleNamespace(ok=False))
+        assert cli.main(["verify", "--seed", "3", "--trials", "3"]) == 1
+        assert "bounds: 3 runs, 3 failures FAIL" in capsys.readouterr().out
