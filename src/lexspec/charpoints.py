@@ -11,6 +11,12 @@ resolutions produce and which is flagged).  A block is a cell-index record on
 its grid; its characteristic point is read off the breakpoints.  Level and
 block text (JSON and CLI) is printed from merged cell runs by
 :func:`boxgeom.cell_region_text`; a ``Region`` is parsed back only on request.
+
+Merged cell runs are canonical: a set's text is the same on every grid that
+refines it.  So level texts and the blocks ``reconstruct`` adjoins are read
+off :func:`spectral.height_grid` (at most k + 2 breakpoints per axis, every
+level set and block infimum kept); ``reconstruct`` compares masses on ``F``,
+and ``all_blocks(F)`` returns records on ``F``'s own grid.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .spectral import (
     _element,
     _placed,
     check_axioms,
+    height_grid,
 )
 
 
@@ -170,7 +177,9 @@ def level_regions(F: StepResolution) -> LevelDecomposition:
 
 
 def _level_texts(F: StepResolution) -> dict[int, str]:
-    """The region text of each level 0..k, without an axiom check."""
+    """The region text of each level 0..k, without an axiom check, read off
+    the height grid of ``F``."""
+    F = height_grid(F)
     cells: dict[int, list[CellIndex]] = {i: [] for i in range(F.signature.k + 1)}
     for idx, t in F.table.items():
         cells[t[0]].append(idx)
@@ -304,7 +313,7 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     :class:`NotReconstructibleError`.  Adjoined blocks have every run start
     >= 1, so their characteristic points are finite.
     """
-    adjoined = [b for b in _blocks(F) if b.t0_adjoined]
+    adjoined = [b for b in _blocks(height_grid(F)) if b.t0_adjoined]
     weights = [b.infimum for b in adjoined]
     points = [b.char_point for b in adjoined]
     total = F.signature.zero

@@ -151,14 +151,18 @@ def _decode_list(v) -> list:
 
 
 def _decode_flat(doc, d: int) -> tuple[int, ...]:
-    """An element document as the flat tuple (h, g_1, ..., g_d)."""
+    """An element document as the flat tuple (h, g_1, ..., g_d), each
+    component of at most ``MAX_DIGITS`` digits: sums of them stay printable."""
     try:
         g = [_decode_int(x) for x in _decode_list(doc["g"])]
         if len(g) != d:
             raise ObservableError(f"g has {len(g)} components, expected {d}")
-        return (_decode_int(doc["h"]), *g)
+        t = (_decode_int(doc["h"]), *g)
     except (KeyError, TypeError, ValueError) as exc:
         raise ObservableError(f"bad element document: {doc!r}") from exc
+    if max(t) >= _TOO_LONG or min(t) <= -_TOO_LONG:
+        raise ObservableError(f"an element component has more than {MAX_DIGITS} digits")
+    return t
 
 
 def _decode_element(doc, signature: AlgebraSignature) -> LexElement:

@@ -9,6 +9,10 @@ merged cell runs, with no region built.  Nothing is clipped, because nothing
 can leave the box: every region end is a breakpoint or an infinity (drawn at
 the padded edge), and every finite characteristic point is a vector of
 breakpoints.  Identical input yields byte-identical output.
+
+Both draw :func:`spectral.height_grid` of their input.  It keeps each axis's
+first and last breakpoint, hence the frame, and every level set, hence the
+canonical merged cell runs, so the bytes are those of the input's own grid.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from xml.sax.saxutils import escape
 
 from .boxgeom import _merged_runs, format_rational
 from .charpoints import Block, _blocks, _point, format_ext_point
-from .spectral import StepResolution
+from .spectral import StepResolution, height_grid
 
 
 class RenderError(ValueError):
@@ -32,21 +36,24 @@ ASCII_HEIGHT = 24
 _GLYPHS = ".123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _frame(F: StepResolution) -> tuple[list[Block], list[tuple[int, ...]], tuple[Fraction, ...]]:
-    """Blocks, the run starts of the finite characteristic points in sorted
-    order, and the padded box."""
+def _frame(
+    F: StepResolution,
+) -> tuple[StepResolution, list[Block], list[tuple[int, ...]], tuple[Fraction, ...]]:
+    """The height grid of ``F``, its blocks, the run starts of the finite
+    characteristic points in sorted order, and the padded box."""
     if F.n != 2:
         raise RenderError("rendering needs a two-dimensional resolution")
+    F = height_grid(F)
     found = _blocks(F)
     starts = sorted({b.starts for b in found if 0 not in b.starts})
     xs, ys = F.breakpoints
     bbox = (xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + 1)
-    return found, starts, bbox
+    return F, found, starts, bbox
 
 
 def render_ascii(F: StepResolution) -> str:
     """Level map on a fixed 60x24 character grid; characteristic points are '*'."""
-    found, starts, (xmin, xmax, ymin, ymax) = _frame(F)
+    F, found, starts, (xmin, xmax, ymin, ymax) = _frame(F)
     present = sorted({t[0] for t in F.table.values()})
     if present[-1] >= len(_GLYPHS):
         raise RenderError(f"level {present[-1]} has no ASCII glyph; use --format svg")
@@ -101,7 +108,7 @@ def _rect(x: str, y: str, w, h, fill: str, stroke: str = "#333333") -> str:
 
 def render_svg(F: StepResolution) -> str:
     """SVG 1.1 level map with block outlines and labelled characteristic points."""
-    found, starts, (xmin, xmax, ymin, ymax) = _frame(F)
+    F, found, starts, (xmin, xmax, ymin, ymax) = _frame(F)
     xs, ys = F.breakpoints
     k = F.signature.k
     present = sorted({t[0] for t in F.table.values()})

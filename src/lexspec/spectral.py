@@ -14,11 +14,18 @@ other on first read with one :func:`_sweep`, which reads the grid as one list
 in cell order and each axis line as one strided slice of it.  Both hold flat
 integer tuples ``(h, g_1, ..., g_d)``; ``LexElement`` objects are built only
 for what is returned (``eval_F``, volumes, witnesses, and ``F.values``).
+
+Levels and blocks depend only on the at most k positive-height masses, so
+:func:`height_grid` keeps only their breakpoints (and each axis's extremes).
+Level texts, renders, the blocks ``reconstruct`` adjoins and the CLI's
+``charpoints`` are read off it; ``all_blocks(F)`` stays on ``F``'s own grid,
+since its ``Block.cells`` index ``F.table``.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -179,10 +186,16 @@ def _checked_table(
         idx for idx in table
         if len(idx) != n or not all(0 <= r <= m for r, m in zip(idx, shape))
     )
-    if extra or n >= len(table).bit_length() or len(table) != prod(m + 1 for m in shape):
+    given = len(table) - len(extra)
+    total = None if n >= len(table).bit_length() else prod(m + 1 for m in shape)
+    if extra or total != given:
         cells = product(*[range(m + 1) for m in shape])
         missing = list(islice((idx for idx in cells if idx not in table), 3))
-        raise ResolutionError(f"cell map mismatch: missing {missing}, extra {extra[:3]}")
+        count = f"at least 2^{n} - {given}" if total is None else total - given
+        raise ResolutionError(  # at most three indices, each cut to six axes
+            f"cell map mismatch: missing {count} cells {reprlib.repr(missing)}, "
+            f"extra {len(extra)} {reprlib.repr(extra[:3])}"
+        )
     k = signature.k
     for idx, t in table.items():
         if not _nonneg(t) or t[0] > k or (t[0] == k and max(t[1:]) > 0):  # 0 <= t <= u
@@ -218,6 +231,31 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
     )
     _check_dense([len(bs) + 1 for bs in breaks])
     return StepResolution(x.signature, x.n, breaks, masses=_placed(x, breaks))
+
+
+def height_grid(F: StepResolution) -> StepResolution:
+    """``F`` on the breakpoints of its positive-height masses plus each axis's
+    first and last, when ``F`` holds its masses, all >= 0 and none on the
+    border (index 0 on some axis); else, or when nothing is dropped, ``F``.
+
+    Each height-0 mass moves up to the next kept breakpoint on every axis, and
+    masses landing on one cell are summed.  That keeps every level set, the
+    sum of the masses at or below a kept point (a block's infimum) and the
+    render frame.
+    """
+    masses = F._masses
+    if masses is None or not all(_nonneg(t) and 0 not in idx for idx, t in masses.items()):
+        return F
+    tall = [idx for idx, t in masses.items() if t[0]]
+    kept = [sorted({1, m, *(idx[j] for idx in tall)}) for j, m in enumerate(F.shape)]
+    if all(len(ks) == m for ks, m in zip(kept, F.shape)):
+        return F
+    moved: dict[CellIndex, Flat] = {}
+    for idx, t in masses.items():
+        cell = tuple(bisect_left(ks, r) + 1 for ks, r in zip(kept, idx))
+        moved[cell] = tuple(map(add, moved[cell], t)) if cell in moved else t
+    breaks = [[bs[r - 1] for r in ks] for bs, ks in zip(F.breakpoints, kept)]
+    return StepResolution(F.signature, F.n, breaks, masses=moved)
 
 
 def _flat(v: LexElement, signature: AlgebraSignature) -> Flat:

@@ -11,7 +11,8 @@ by tests/test_verify.py for the chained-union random suite region and the
 ``Fraction``-drawing random observable,
 by tests/test_charpoints.py and tests/test_verify.py for the walking
 projections, the antichain length and the tuple-keyed block pass,
-by tests/test_charpoints.py for the planar ray scan,
+by tests/test_charpoints.py for the planar ray scan and the closed-join
+characteristic points of an observable,
 by tests/test_spectral.py and tests/test_charpoints.py for the random
 resolutions, the masses by corner sums and the cell-by-cell reconstruction
 witness,
@@ -141,6 +142,23 @@ def oracle_char_points(x) -> set[tuple[Q, Q]]:
             while b - step >= lo and level(s, b - step) == i:
                 b -= step
             found.add((a - step, b - step))
+    return found
+
+
+def closed_join_char_points(x) -> set[tuple[Q, ...]]:
+    """Characteristic points of an observable, read off its positive-height
+    atoms alone: the points, each coordinate some such atom's, that equal the
+    join (componentwise maximum) of the positive-height atoms they dominate.
+
+    Just above such a point the level counts exactly those atoms, and every
+    run of that level ends at it; no other point ends every run of a level.
+    """
+    tall = [a.point for a in x.atoms if a.weight.h > 0]
+    found = set()
+    for p in product(*[sorted({a[j] for a in tall}) for j in range(x.n)]):
+        below = [a for a in tall if all(c <= q for c, q in zip(a, p))]
+        if below and tuple(map(max, zip(*below))) == p:
+            found.add(p)
     return found
 
 

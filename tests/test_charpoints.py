@@ -5,10 +5,12 @@ import json
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from lexspec import charpoints, render
 from lexspec.boxgeom import NEG_INF, Box, Region, above, is_finite, open_closed
 from lexspec.charpoints import (
     CharPointError,
@@ -17,6 +19,7 @@ from lexspec.charpoints import (
     RaysResult,
     ReconstructionError,
     _blocks,
+    _level_texts,
     all_blocks,
     block_cube_check,
     bounds_check,
@@ -27,7 +30,16 @@ from lexspec.charpoints import (
 from lexspec.gallery import build_observable
 from lexspec.lexalg import AlgebraSignature, LexElement, in_unit_interval, meet
 from lexspec.observable import make_observable, observable_to_doc
-from lexspec.spectral import check_axioms, from_cells, from_observable, resolution_to_doc
+from lexspec.render import render_ascii, render_svg
+from lexspec.spectral import (
+    StepResolution,
+    check_axioms,
+    from_cells,
+    from_observable,
+    height_grid,
+    resolution_from_doc,
+    resolution_to_doc,
+)
 from lexspec.verify import (
     SplitMix64,
     TrialConfig,
@@ -41,6 +53,7 @@ from oracles import (
     blocks,
     char_point,
     check_masses,
+    closed_join_char_points,
     max_antichain,
     oracle_char_points,
     projection,
@@ -599,3 +612,91 @@ class TestMassOracleOnTranscript:
             )
             outcomes[kind] += 1
         assert all(outcomes.values()), outcomes
+
+
+@st.composite
+def height_observables(draw):
+    """An observable in n = 1..4 with k <= 6 and d <= 2: positive heights
+    summing to k, and height-0 atoms of nonnegative g, on few coordinates per
+    axis, so that atoms share them."""
+    n = draw(st.integers(1, 4))
+    sig = AlgebraSignature(draw(st.integers(1, 6)), draw(st.integers(1, 2)))
+    cuts = [c for c in range(1, sig.k) if draw(st.booleans())]
+    heights = [b - a for a, b in zip([0, *cuts], [*cuts, sig.k])]
+    heights += [0] * draw(st.integers(0, max(0, (9, 10, 7, 5)[n - 1] - len(heights))))
+    points = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n),
+                           min_size=len(heights), max_size=len(heights), unique=True))
+    gs = [draw(st.tuples(*[st.integers(0 if h == 0 else -3, 3)] * sig.d)) for h in heights]
+    gs = [(1, *g[1:]) if not any(g) else g for g in gs]
+    gs[0] = tuple(-sum(c) for c in zip(*gs[1:])) if gs[1:] else (0,) * sig.d
+    weights = [LexElement(sig, h, g) for h, g in zip(heights, gs)]
+    return make_observable(sig, n, list(zip(points, weights)))
+
+
+def _printed(F) -> list:
+    """Level texts, reconstruction and (n = 2) both renders of ``F``."""
+    try:
+        result = reconstruct(F)
+        back = result.to_doc() if isinstance(result, MismatchReport) else observable_to_doc(result)
+    except ReconstructionError as exc:
+        back = str(exc)
+    out = [_level_texts(F), back]
+    return out + [render_svg(F), render_ascii(F)] if F.n == 2 else out
+
+
+def _dense_printed(F) -> list:
+    """:func:`_printed` read off ``F``'s own grid."""
+    with patch.object(charpoints, "height_grid", lambda F: F), \
+            patch.object(render, "height_grid", lambda F: F):
+        return _printed(F)
+
+
+def _block_docs(F) -> tuple[dict, dict]:
+    report = all_blocks(F)
+    return report.to_doc(), bounds_check(report).to_doc()
+
+
+class TestHeightGrid:
+    """The height grid of an observable's resolution against its own grid:
+    every printed analysis is byte-identical."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(height_observables())
+    def test_same_bytes_as_the_dense_grid(self, x):
+        F = from_observable(x)
+        table = resolution_from_doc(resolution_to_doc(F))
+        table.masses  # held masses make a table-built resolution eligible
+        for source in (F, table):
+            G = height_grid(source)
+            assert all(len(bs) <= x.signature.k + 2 for bs in G.breakpoints)
+            assert _block_docs(G) == _block_docs(source)
+            assert _printed(source) == _dense_printed(source)
+        assert set(all_blocks(height_grid(F)).char_points()) == closed_join_char_points(x)
+
+    def test_grid_shrinks_on_height_zero_atoms(self):
+        sig = AlgebraSignature(2, 1)
+        atoms = [((i, 3 - i), LexElement(sig, h, (g,)))
+                 for i, (h, g) in enumerate([(0, 2), (1, -1), (0, 1), (1, -2)])]
+        F = from_observable(make_observable(sig, 2, atoms))
+        G = height_grid(F)
+        assert G.shape == (3, 3) and F.shape == (4, 4)
+        assert _block_docs(G) == _block_docs(F)
+        assert _printed(F) == _dense_printed(F)
+
+    def test_returns_F_itself(self):
+        sig = AlgebraSignature(2, 1)
+        bps = [[Q(0), Q(1), Q(2)]]
+
+        def res(masses):
+            return StepResolution(sig, 1, bps, masses={(r,): t for r, t in masses.items()})
+
+        shrinks = {1: (1, 0), 2: (0, 1), 3: (1, -1)}  # index 2 has height 0
+        assert height_grid(res(shrinks)).shape == (2,)
+        negative = {1: (1, 2), 2: (0, -1), 3: (1, -1)}
+        border = {0: (0, 1), **shrinks, 3: (1, -2)}
+        tall = {1: (0, 1), 2: (2, -1)}  # every breakpoint is kept
+        for masses in (negative, border, tall):
+            F = res(masses)
+            assert height_grid(F) is F
+        table_only = resolution_from_doc(resolution_to_doc(res(shrinks)))
+        assert height_grid(table_only) is table_only

@@ -580,6 +580,63 @@ class TestCoordinateDigits:
         assert "volume_nonneg: FAIL" in capsys.readouterr().out
 
 
+def _component_doc(A: int) -> dict:
+    """k = 2 in R^1: weights (0; A), (0; A), (1; -A), (1; -A) at 0, 1, 2, 3,
+    so F is (0; 2A) on (1, 2]."""
+    weights = [(0, A), (0, A), (1, -A), (1, -A)]
+    return {"kind": "observable", "k": 2, "d": 1, "n": 1,
+            "atoms": [{"point": [i], "weight": {"h": h, "g": [g]}}
+                      for i, (h, g) in enumerate(weights)]}
+
+
+class TestElementDigits:
+    """A cell value sums masses, so an element component too long to print
+    after a sum is refused where it enters."""
+
+    def test_refused(self, tmp_path, capsys):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(_component_doc(10**4300 - 1)))
+        assert main(["eval", "--input", str(path), "--point", "3/2"]) == 2
+        assert f"an element component has more than {MAX_DIGITS} digits" in capsys.readouterr().err
+        doc = json.loads(resolution_to_json(from_observable(build_observable("3.7/1"))))
+        doc["cells"][0]["value"]["g"] = [10**MAX_DIGITS]
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", "--input", str(path)]) == 2
+        assert f"an element component has more than {MAX_DIGITS} digits" in capsys.readouterr().err
+
+    def test_the_bound_itself_is_accepted(self, tmp_path, capsys):
+        A = 10**MAX_DIGITS - 1
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(_component_doc(A)))
+        assert main(["eval", "--input", str(path), "--point", "3/2"]) == 0
+        assert capsys.readouterr().out == f"(0; {2 * A})\n"
+
+
+class TestCellMapMessage:
+    def test_many_axes_message_is_short(self, tmp_path, capsys):
+        n = 200_000
+        doc = {"kind": "resolution", "k": 1, "d": 1, "n": n, "breakpoints": [[0]] * n,
+               "cells": [{"index": [0] * n, "value": {"h": 0, "g": [0]}}]}
+        path = tmp_path / "axes.json"
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err) < 1024
+        assert f"cell map mismatch: missing at least 2^{n} - 1 cells [(0, 0, 0, 0, 0, 0, ...)" in err
+
+    def test_counts_of_missing_and_extra_cells(self, tmp_path, capsys):
+        cells = [{"index": [r], "value": {"h": 0, "g": [0]}} for r in (0, 1, 7, 8, 9, 10)]
+        doc = {"kind": "resolution", "k": 1, "d": 1, "n": 1,
+               "breakpoints": [[0, 1, 2, 3, 4]], "cells": cells}
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cell map mismatch: missing 4 cells [(2,), (3,), (4,)], "
+            "extra 4 [(7,), (8,), (9,)]\n"
+        )
+
+
 _VALID_DOCS = (
     json.loads(observable_to_json(build_observable("3.7/1"))),
     json.loads(resolution_to_json(from_observable(build_observable("3.7/7")))),

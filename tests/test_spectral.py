@@ -218,7 +218,8 @@ class TestFromCells:
         with pytest.raises(ResolutionError) as info:
             from_cells(sig, 2, ((Q(1),), (Q(1),)), values)
         assert str(info.value) == (
-            "cell map mismatch: missing [(0, 1), (1, 0), (1, 1)], extra [(0, 2), (1, 1, 0)]"
+            "cell map mismatch: missing at least 2^2 - 1 cells [(0, 1), (1, 0), (1, 1)], "
+            "extra 2 [(0, 2), (1, 1, 0)]"
         )
 
     def test_huge_grid_rejected_without_enumerating_it(self):
