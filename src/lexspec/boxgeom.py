@@ -419,15 +419,17 @@ def format_region(r: Region) -> str:
 _INTERVAL_RE = re.compile(
     r"^([\[\(])\s*([^,\]\)]+)\s*,\s*([^,\]\)]+)\s*([\]\)])$"
 )
+_RATIONAL_RE = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
 
 
 def parse_rational(text: str) -> Fraction:
-    """An integer, ``p/q`` or decimal; exponent notation is refused, because
-    ``Fraction`` would build the power of ten (``1e10000000`` takes seconds)."""
-    if "e" in text.lower():
-        raise GeometryError(f"exponent notation is not accepted: {text!r}")
+    """An integer, ``p/q`` or decimal in ASCII digits, alike on every Python; no
+    exponent notation, as ``Fraction`` would build the power of ten (for seconds)."""
+    if _RATIONAL_RE.fullmatch(text) is None:
+        raise GeometryError(f"cannot parse rational {text!r}: not digits, p/q or a decimal "
+                            "(exponent notation is not accepted)")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise GeometryError(f"cannot parse rational: {text!r}") from exc
 

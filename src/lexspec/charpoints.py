@@ -13,10 +13,10 @@ block text (JSON and CLI) is printed from merged cell runs by
 :func:`boxgeom.cell_region_text`; a ``Region`` is parsed back only on request.
 
 Merged cell runs are canonical: a set's text is the same on every grid that
-refines it.  So level texts and the blocks ``reconstruct`` adjoins are read
-off :func:`spectral.height_grid` (at most k + 2 breakpoints per axis, every
-level set and block infimum kept); ``reconstruct`` compares masses on ``F``,
-and ``all_blocks(F)`` returns records on ``F``'s own grid.
+refines it.  So level texts and every block pass are read off
+:func:`spectral.height_grid` (at most k + 2 breakpoints per axis, every level
+set and block infimum kept), and block records index that grid;
+``reconstruct`` compares masses on ``F``.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def _level_texts(F: StepResolution) -> dict[int, str]:
 def all_blocks(F: StepResolution) -> BlockReport:
     """Compute every block of every nonzero level."""
     axioms = check_axioms(F)
-    found = _blocks(F)
+    G, found = _blocks(F)
     levels: dict[int, list[Block]] = {}
     for block in found:
         levels.setdefault(block.level, []).append(block)
@@ -200,13 +200,13 @@ def all_blocks(F: StepResolution) -> BlockReport:
         levels={i: tuple(bs) for i, bs in levels.items()},
         axioms=axioms,
         pathological=(not axioms.ok) or any(b.flags for b in found),
-        points=[_point(F.breakpoints, r) for r in sorted({b.starts for b in found})],
-        breakpoints=F.breakpoints,
+        points=[_point(G.breakpoints, r) for r in sorted({b.starts for b in found})],
+        breakpoints=G.breakpoints,
     )
 
 
-def _blocks(F: StepResolution) -> list[Block]:
-    """Every block, by level and then run starts; no axiom check.
+def _blocks(F: StepResolution) -> tuple[StepResolution, list[Block]]:
+    """The height grid of ``F`` and its blocks, by level, then run starts; no axiom check.
 
     The grid is read once into lists in ``F.cells()`` order.  One pass per
     axis j walks every axis-j line upward, one stride at a time: a cell of the
@@ -214,6 +214,7 @@ def _blocks(F: StepResolution) -> list[Block]:
     own index and lands on the level below.  Blocks are keyed by run starts,
     which determine the characteristic point and sort in its order.
     """
+    F = height_grid(F)
     cells = list(F.cells())
     table = F.table
     values = [table[idx] for idx in cells]
@@ -276,7 +277,7 @@ def _blocks(F: StepResolution) -> list[Block]:
         infimum = LexElement(F.signature, i, g)
         found.append(Block(i, starts, tuple(cells[p] for p in members), F.breakpoints,
                            tuple(landing), cp_level, adjoined, infimum, tuple(flags)))
-    return found
+    return F, found
 
 
 # --- reconstruction -----------------------------------------------------------
@@ -313,7 +314,7 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     :class:`NotReconstructibleError`.  Adjoined blocks have every run start
     >= 1, so their characteristic points are finite.
     """
-    adjoined = [b for b in _blocks(height_grid(F)) if b.t0_adjoined]
+    adjoined = [b for b in _blocks(F)[1] if b.t0_adjoined]
     weights = [b.infimum for b in adjoined]
     points = [b.char_point for b in adjoined]
     total = F.signature.zero

@@ -42,7 +42,6 @@ from .spectral import (
     check_axioms,
     eval_F,
     from_observable,
-    height_grid,
     resolution_from_doc,
 )
 from .verify import TrialConfig, run_suite
@@ -132,7 +131,7 @@ def cmd_regions(args) -> int:
 
 def cmd_charpoints(args) -> int:
     F = _load_resolution(args.input)
-    report = all_blocks(height_grid(F))
+    report = all_blocks(F)
     if args.json:
         _emit_doc(args, report.to_doc() | {"bounds": bounds_check(report).to_doc()})
     else:
@@ -257,7 +256,7 @@ def cmd_example(args) -> int:
         out.append(f"atoms (k={obj.signature.k}, d={obj.signature.d}, n={obj.n}):")
         out += _describe_atoms(obj)
     out += [f"T_{i} = {t}" for i, t in sorted(_level_texts(F).items())]
-    out.append(_describe_blocks(args, all_blocks(height_grid(F))).rstrip("\n"))
+    out.append(_describe_blocks(args, all_blocks(F)).rstrip("\n"))
     if args.name == "3.7/9":  # mismatch_resolution always gives a MismatchReport
         out.append(f"reconstruction mismatch: {_mismatch_text(reconstruct(F))}")
     _emit(args, "\n".join(out) + "\n")

@@ -2,17 +2,14 @@
 
 Both renderers draw the bounding box of the finite breakpoints padded by one
 unit, fill each level set distinctly, draw block boundaries, and mark
-characteristic points (with coordinates, in the SVG).  They read the cell
-grid directly: an ASCII column or row is a cell index, an SVG coordinate is
-read by cell index from a per-axis list, and a block's SVG rectangles are its
-merged cell runs, with no region built.  Nothing is clipped, because nothing
-can leave the box: every region end is a breakpoint or an infinity (drawn at
-the padded edge), and every finite characteristic point is a vector of
-breakpoints.  Identical input yields byte-identical output.
-
-Both draw :func:`spectral.height_grid` of their input.  It keeps each axis's
-first and last breakpoint, hence the frame, and every level set, hence the
-canonical merged cell runs, so the bytes are those of the input's own grid.
+characteristic points (with coordinates, in the SVG).  They read the grid
+the blocks index directly: an ASCII column or row is a cell index, an SVG
+coordinate is read by cell index from a per-axis list, and a block's SVG
+rectangles are its merged cell runs, with no region built.  Nothing is
+clipped, because nothing can leave the box: every region end is a breakpoint
+or an infinity (drawn at the padded edge), and every finite characteristic
+point is a vector of breakpoints.  That grid keeps each axis's extremes and
+every level set, so identical input yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from xml.sax.saxutils import escape
 
 from .boxgeom import _merged_runs, format_rational
 from .charpoints import Block, _blocks, _point, format_ext_point
-from .spectral import StepResolution, height_grid
+from .spectral import StepResolution
 
 
 class RenderError(ValueError):
@@ -39,12 +36,11 @@ _GLYPHS = ".123456789abcdefghijklmnopqrstuvwxyz"
 def _frame(
     F: StepResolution,
 ) -> tuple[StepResolution, list[Block], list[tuple[int, ...]], tuple[Fraction, ...]]:
-    """The height grid of ``F``, its blocks, the run starts of the finite
-    characteristic points in sorted order, and the padded box."""
+    """The grid that the blocks of ``F`` index, those blocks, the run starts of
+    the finite characteristic points in sorted order, and the padded box."""
     if F.n != 2:
         raise RenderError("rendering needs a two-dimensional resolution")
-    F = height_grid(F)
-    found = _blocks(F)
+    F, found = _blocks(F)
     starts = sorted({b.starts for b in found if 0 not in b.starts})
     xs, ys = F.breakpoints
     bbox = (xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + 1)

@@ -668,7 +668,7 @@ def reference_sweep(values, shape, axes, diff=False) -> None:
 def reference_render_svg(F) -> str:
     """The SVG level map drawn from each block's region boxes, with screen
     coordinates looked up by end value (-inf and +inf at the padded ends)."""
-    found = _blocks(F)
+    F, found = _blocks(F)
     points = [_point(F.breakpoints, r) for r in sorted({b.starts for b in found})
               if 0 not in r]
     xs, ys = F.breakpoints

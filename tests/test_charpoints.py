@@ -10,7 +10,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexspec import charpoints, render
+from lexspec import charpoints
 from lexspec.boxgeom import NEG_INF, Box, Region, above, is_finite, open_closed
 from lexspec.charpoints import (
     CharPointError,
@@ -559,18 +559,19 @@ class TestBlockRecords:
         flagged = 0
         for F in resolutions:
             report = all_blocks(F)
+            G = height_grid(F)  # the grid the blocks index
             found = report.all_blocks()
             for b in found:
                 assert b.infimum.h == b.level
-                assert b.infimum == reduce(meet, (F.values[idx] for idx in b.cells))
+                assert b.infimum == reduce(meet, (G.values[idx] for idx in b.cells))
                 if b.t0_adjoined:
                     assert all(is_finite(c) for c in b.char_point)
                 flagged += bool(b.flags)
             points = sorted({b.char_point for b in found}, key=_ext_sort_key)
             assert report.char_points() == points
             ok, witness = block_cube_check(F, report)
-            assert (ok, witness and witness["cell"]) == _cube_oracle(F, report)
-            assert max_antichain(report) == _antichain_oracle(F, report)
+            assert (ok, witness and witness["cell"]) == _cube_oracle(G, report)
+            assert max_antichain(report) == _antichain_oracle(G, report)
         assert flagged > 0
 
 
@@ -585,8 +586,8 @@ class TestStridedBlockPass:
         )
         flags = set()
         for F in resolutions:
-            found = _blocks(F)
-            assert found == reference_blocks(F)
+            G, found = _blocks(F)
+            assert found == reference_blocks(G)
             flags.update(f.rstrip("0123456789") for b in found for f in b.flags)
         assert flags == {
             "minus_infinity_projection", "inconsistent_landing_axis_", "landing_not_below_axis_"
@@ -595,7 +596,8 @@ class TestStridedBlockPass:
     @settings(max_examples=200, deadline=None)
     @given(resolutions())
     def test_random_resolutions(self, F):
-        assert _blocks(F) == reference_blocks(F)
+        G, found = _blocks(F)
+        assert found == reference_blocks(G)
 
 
 class TestMassOracleOnTranscript:
@@ -644,16 +646,20 @@ def _printed(F) -> list:
     return out + [render_svg(F), render_ascii(F)] if F.n == 2 else out
 
 
-def _dense_printed(F) -> list:
-    """:func:`_printed` read off ``F``'s own grid."""
-    with patch.object(charpoints, "height_grid", lambda F: F), \
-            patch.object(render, "height_grid", lambda F: F):
-        return _printed(F)
-
-
 def _block_docs(F) -> tuple[dict, dict]:
     report = all_blocks(F)
     return report.to_doc(), bounds_check(report).to_doc()
+
+
+def _analyses(F) -> list:
+    """Block documents and :func:`_printed` of ``F``."""
+    return [_block_docs(F), *_printed(F)]
+
+
+def _dense_analyses(F) -> list:
+    """:func:`_analyses` read off ``F``'s own grid."""
+    with patch.object(charpoints, "height_grid", lambda F: F):
+        return _analyses(F)
 
 
 class TestHeightGrid:
@@ -669,9 +675,8 @@ class TestHeightGrid:
         for source in (F, table):
             G = height_grid(source)
             assert all(len(bs) <= x.signature.k + 2 for bs in G.breakpoints)
-            assert _block_docs(G) == _block_docs(source)
-            assert _printed(source) == _dense_printed(source)
-        assert set(all_blocks(height_grid(F)).char_points()) == closed_join_char_points(x)
+            assert _analyses(source) == _dense_analyses(source)
+        assert set(all_blocks(F).char_points()) == closed_join_char_points(x)
 
     def test_grid_shrinks_on_height_zero_atoms(self):
         sig = AlgebraSignature(2, 1)
@@ -680,8 +685,9 @@ class TestHeightGrid:
         F = from_observable(make_observable(sig, 2, atoms))
         G = height_grid(F)
         assert G.shape == (3, 3) and F.shape == (4, 4)
-        assert _block_docs(G) == _block_docs(F)
-        assert _printed(F) == _dense_printed(F)
+        assert _analyses(F) == _dense_analyses(F)
+        table = resolution_from_doc(resolution_to_doc(F))  # masses not yet derived
+        assert all_blocks(table).breakpoints == height_grid(table).breakpoints == G.breakpoints
 
     def test_returns_F_itself(self):
         sig = AlgebraSignature(2, 1)

@@ -61,6 +61,11 @@ class TestRegions:
         out = capsys.readouterr().out
         assert "T_2 = (3,+inf)x(3,+inf)" in out
 
+    def test_human_warns_on_axiom_failure(self, bad_resolution, capsys):
+        assert main(["regions", "--input", bad_resolution]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\nwarning: resolution fails spectral conditions\n")
+
     def test_json_round_trips_regions(self, ex1, capsys):
         from lexspec.boxgeom import parse_region
 
@@ -136,6 +141,17 @@ class TestReconstruct:
         assert main(["reconstruct", "--input", str(path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert observable_from_doc(doc) == build_observable("3.7/7")
+
+    def test_round_trip_text(self, tmp_path, capsys):
+        path = tmp_path / "ex7.json"
+        path.write_text(observable_to_json(build_observable("3.7/7")))
+        assert main(["reconstruct", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "reconstructed atoms:\n"
+            "  (1, 3) -> (1; 1)\n"
+            "  (2, 2) -> (1; 2)\n"
+            "  (3, 1) -> (1; -3)\n"
+        )
 
     def test_chain_atoms_not_adjoined_reconstructible(self, ex1, capsys):
         # 3.7/1 stacks (2,2) below (3,3): only one block is adjoined
@@ -535,6 +551,48 @@ class TestMalformedDocumentsExitTwo:
         path.write_text(json.dumps(doc))
         assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestRepeatedCellIndex:
+    """A resolution document listing one cell index twice is refused, rather
+    than read with whichever entry comes last."""
+
+    @pytest.mark.parametrize("argv", [["eval", "--point", "1"], ["axioms"]])
+    @pytest.mark.parametrize("last", [(1, 0), (0, 5)])
+    def test_exits_two(self, tmp_path, capsys, argv, last):
+        first = (0, 5) if last == (1, 0) else (1, 0)
+        cells = [{"index": [r], "value": {"h": h, "g": [g]}}
+                 for r, (h, g) in [(0, (0, 0)), (1, first), (1, last)]]
+        doc = {"kind": "resolution", "k": 1, "d": 1, "n": 1, "breakpoints": [[0]],
+               "cells": cells}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+        assert "a cell index is listed twice" in capsys.readouterr().err
+
+
+class TestRationalSpelling:
+    """Coordinates read by one ASCII grammar, whatever ``Fraction`` accepts on
+    the running Python."""
+
+    @staticmethod
+    def _doc(tmp_path, coordinate) -> str:
+        doc = json.loads(observable_to_json(build_observable("3.7/1")))
+        doc["atoms"][0]["point"][0] = coordinate
+        path = tmp_path / "spelling.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("text", ["1_000", "1_0/2_0", "\u0661\u0662", "1 / 2"])
+    def test_refused(self, tmp_path, ex1, capsys, text):
+        assert main(["eval", "--input", self._doc(tmp_path, text), "--point", "1,1"]) == 2
+        assert main(["eval", "--input", ex1, f"--point={text},1"]) == 2
+        assert capsys.readouterr().err.count("cannot parse rational") == 2
+
+    @pytest.mark.parametrize("text", ["+5", ".5", "5.", " 3 ", "-7/3"])
+    def test_accepted(self, tmp_path, ex1, text):
+        assert main(["eval", "--input", self._doc(tmp_path, text), "--point", "1,1"]) == 0
+        assert main(["eval", "--input", ex1, f"--point={text},1"]) == 0
 
 
 def _long_coordinate_doc(kind: str, number) -> dict:
