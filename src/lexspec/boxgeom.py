@@ -8,13 +8,20 @@ passes a ``Fraction``, turns an ``int`` into one and refuses anything else.  A
 so two regions describe the same point set iff their representations are
 identical.
 
+Exact coordinates are sorted by :func:`order_key`, (floor, value): sorts
+compare ints and reach a ``Fraction`` comparison only between two values in
+one unit interval.  Coordinate lists are sorted that way here and in
+``observable`` and ``spectral``, and ranked through maps keyed by
+``v.as_integer_ratio()``, which equal values share, not by hashing a
+``Fraction``; only a point query that may fall between breakpoints bisects.
+
 Canonical form: rank the finite endpoint values of each axis once, keyed by
-their reduced integer pair (numerator, denominator), not by a hashed
-``Fraction``; every interval is then a run of integer piece indices on the
-induced grid of atomic cells (isolated points and open gaps).  Keep the
-occupied cells, greedily merge adjacent runs along the last axis, then the
-one before it, and so on, and build intervals only for the final runs.  The
-result is deterministic; compactness is not a goal.  :func:`complement`
+their reduced integer pair (numerator, denominator); every interval is then
+a run of integer piece indices on the induced grid of atomic cells (isolated
+points and open gaps).  Keep the occupied cells, greedily merge adjacent runs
+along the last axis, then the one before it, and so on, and build intervals
+only for the final runs.  The result is deterministic; compactness is not a
+goal.  :func:`complement`
 merges the cells of its operand's own grid that it misses.  The other
 boolean operations pick atomic cells on the common grid of both operands and
 rank them again with ``Region(...)``: the benchmark's instrumentation test
@@ -86,6 +93,12 @@ def rational(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise GeometryError(f"a coordinate or interval end must be an int or a Fraction, got {x!r}")
+
+
+def order_key(v: Fraction) -> tuple[int, Fraction]:
+    """Sort key of an exact coordinate: ``(floor(v), v)``.  Floor is monotone,
+    so the key orders exactly like ``v``, with no float and no overflow."""
+    return (v.numerator // v.denominator, v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +201,8 @@ def _grid(
 ) -> tuple[list[list[Fraction]], list[set[tuple[int, ...]]]]:
     """Sorted finite endpoints per axis over all ``box_lists``, and the set of
     atomic cells (tuples of piece indices) each list covers on that grid.
-    Endpoints are keyed by ``v.as_integer_ratio()``, which equal values share."""
+    Endpoints are keyed by ``v.as_integer_ratio()``, which equal values share,
+    and sorted by :func:`order_key`."""
     axis_ends: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
     for boxes in box_lists:
         for b in boxes:
@@ -199,7 +213,7 @@ def _grid(
                     ends.setdefault(iv.lo.as_integer_ratio(), iv.lo)
                 if iv.hi is not POS_INF:
                     ends.setdefault(iv.hi.as_integer_ratio(), iv.hi)
-    values = [sorted(ends.values()) for ends in axis_ends]
+    values = [sorted(ends.values(), key=order_key) for ends in axis_ends]
     ranks = [{v.as_integer_ratio(): r for r, v in enumerate(vals)} for vals in values]
     tops = [2 * len(vals) for vals in values]
     cell_sets = []
@@ -424,12 +438,17 @@ _RATIONAL_RE = re.compile(r"\s*[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*"
 
 def parse_rational(text: str) -> Fraction:
     """An integer, ``p/q`` or decimal in ASCII digits, alike on every Python; no
-    exponent notation, as ``Fraction`` would build the power of ten (for seconds)."""
+    exponent notation, as ``Fraction`` would build the power of ten (for seconds).
+    Once the grammar matched, an integer or ``p/q`` is read with ``int`` and
+    only a decimal is parsed again by ``Fraction``."""
     if _RATIONAL_RE.fullmatch(text) is None:
         raise GeometryError(f"cannot parse rational {text!r}: not digits, p/q or a decimal "
                             "(exponent notation is not accepted)")
     try:
-        return Fraction(text)
+        if "." in text:
+            return Fraction(text)
+        num, _, den = text.strip().partition("/")  # int() refuses some white space \s allows
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise GeometryError(f"cannot parse rational: {text!r}") from exc
 

@@ -314,7 +314,12 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     :class:`NotReconstructibleError`.  Adjoined blocks have every run start
     >= 1, so their characteristic points are finite.
     """
-    adjoined = [b for b in _blocks(F)[1] if b.t0_adjoined]
+    return _reconstruct(F, _blocks(F)[1])
+
+
+def _reconstruct(F: StepResolution, blocks: Sequence[Block]) -> DiscreteObservable | MismatchReport:
+    """:func:`reconstruct` from ``blocks``, the blocks :func:`_blocks` finds for ``F``."""
+    adjoined = [b for b in blocks if b.t0_adjoined]
     weights = [b.infimum for b in adjoined]
     points = [b.char_point for b in adjoined]
     total = F.signature.zero

@@ -293,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the resolution at a point")
     add_common(p, "--input", "--json")
-    p.add_argument("--point", required=True, help='comma-separated rationals, e.g. "4,4"')
+    p.add_argument("--point", required=True,
+                   help='comma-separated rationals, e.g. "4,4"; write --point=-7,1 when the '
+                        "first coordinate is negative")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("regions", help="print the level-set regions T_i")

@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
+from operator import itemgetter
 from typing import Sequence
 
-from .boxgeom import Region, parse_rational, rational
+from .boxgeom import Region, order_key, parse_rational, rational
 from .lexalg import (
     AlgebraSignature,
     LexElement,
@@ -69,7 +71,9 @@ def make_observable(
     """Validate and build an observable from (point, weight) pairs.
 
     Points must be pairwise distinct, weights nonzero members of ``[0, u]``,
-    and the weights must sum to the unit.
+    and the weights must sum to the unit.  Atoms are sorted by their points'
+    :func:`boxgeom.order_key` vectors, and two equal points are two adjacent
+    equal keys.
     """
     if n < 1:
         raise ObservableError(f"dimension must be >= 1, got {n}")
@@ -87,16 +91,17 @@ def make_observable(
         normalized.append(Atom(p, weight))
     if not normalized:
         raise ObservableError("an observable needs at least one atom")
-    points = [a.point for a in normalized]
-    if len(set(points)) != len(points):
+    keyed = sorted(((tuple(map(order_key, a.point)), a) for a in normalized), key=itemgetter(0))
+    if any(k1 == k2 for (k1, _), (k2, _) in pairwise(keyed)):
         raise ObservableError("atom points must be pairwise distinct")
-    total = sum_finite([a.weight for a in normalized])
-    if total != signature.unit:
+    # Summed as flat integer tuples; sum_finite only names a wrong total.
+    total = tuple(map(sum, zip(*((a.weight.h, *a.weight.g) for a in normalized))))
+    if total != (signature.k, *(0,) * signature.d):
         raise ObservableError(
-            f"weights must sum to the unit {signature.unit}, got {total}"
+            f"weights must sum to the unit {signature.unit}, "
+            f"got {sum_finite([a.weight for a in normalized])}"
         )
-    normalized.sort(key=lambda a: a.point)
-    return DiscreteObservable(signature, n, tuple(normalized))
+    return DiscreteObservable(signature, n, tuple(a for _, a in keyed))
 
 
 # --- JSON form ---------------------------------------------------------------
@@ -154,15 +159,33 @@ def _decode_flat(doc, d: int) -> tuple[int, ...]:
     """An element document as the flat tuple (h, g_1, ..., g_d), each
     component of at most ``MAX_DIGITS`` digits: sums of them stay printable."""
     try:
-        g = [_decode_int(x) for x in _decode_list(doc["g"])]
-        if len(g) != d:
-            raise ObservableError(f"g has {len(g)} components, expected {d}")
-        t = (_decode_int(doc["h"]), *g)
+        t = (doc["h"], *_decode_list(doc["g"]))
+        if not all(type(x) is int for x in t):  # one pass; _decode_int refuses the culprit
+            t = tuple(map(_decode_int, t))
+        if len(t) != d + 1:
+            raise ObservableError(f"g has {len(t) - 1} components, expected {d}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ObservableError(f"bad element document: {doc!r}") from exc
     if max(t) >= _TOO_LONG or min(t) <= -_TOO_LONG:
         raise ObservableError(f"an element component has more than {MAX_DIGITS} digits")
     return t
+
+
+def _decode_cells(cells: list, d: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """A resolution document's cells as ``{index: flat value}``.  Well-formed
+    cells are checked in one pass over all their integers; anything else is
+    decoded cell by cell, which raises the message naming what is wrong."""
+    try:
+        keys = [tuple(c["index"]) for c in cells if type(c["index"]) is list]
+        flats = [(v["h"], *v["g"]) for v in [c["value"] for c in cells] if type(v["g"]) is list]
+    except (KeyError, TypeError):
+        keys = flats = []
+    if (len(keys) == len(flats) == len(cells) and all(len(t) == d + 1 for t in flats)
+            and all(type(x) is int for t in keys for x in t)
+            and all(type(x) is int and -_TOO_LONG < x < _TOO_LONG for t in flats for x in t)):
+        return dict(zip(keys, flats))
+    return {tuple(map(_decode_int, _decode_list(c["index"]))): _decode_flat(c["value"], d)
+            for c in cells}
 
 
 def _decode_element(doc, signature: AlgebraSignature) -> LexElement:

@@ -28,12 +28,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, islice, pairwise, product
 from math import prod
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .boxgeom import RatPoint, cell_ends, cell_region_text, rational
+from .boxgeom import RatPoint, cell_ends, cell_region_text, order_key, rational
 from .lexalg import (
     AlgebraError,
     AlgebraSignature,
@@ -43,7 +43,7 @@ from .lexalg import (
 from .observable import (
     DiscreteObservable,
     ObservableError,
-    _decode_flat,
+    _decode_cells,
     _decode_int,
     _decode_list,
     _decode_rational,
@@ -174,7 +174,7 @@ def _checked_table(
     for j, bs in enumerate(F.breakpoints):
         if not bs:
             raise ResolutionError(f"axis {j} needs at least one breakpoint")
-        if any(bs[i] >= bs[i + 1] for i in range(len(bs) - 1)):
+        if any(a >= b for a, b in pairwise(map(order_key, bs))):
             raise ResolutionError(f"axis {j} breakpoints must be strictly increasing")
     # Distinct in-shape keys, as many as the grid has cells, are the whole
     # grid; the grid itself is never built, as it may be far larger than the map.
@@ -219,13 +219,16 @@ def _check_dense(counts: Sequence[int]) -> None:
 def from_observable(x: DiscreteObservable) -> StepResolution:
     """The spectral resolution of ``x``: cell value = mass strictly below the cell.
 
-    Breakpoints are the distinct atom coordinates per axis; the value on a
-    cell is the sum of the weights of atoms strictly dominated by any (hence
-    every) point of the cell; the placed weights are its masses.  Grids above
-    ``MAX_DENSE_CELLS`` cells are refused before anything is placed.
+    Breakpoints are the distinct atom coordinates per axis, collected in a
+    map keyed by ``as_integer_ratio()`` and sorted by
+    :func:`boxgeom.order_key`; the value on a cell is the sum of the weights
+    of atoms strictly dominated by any (hence every) point of the cell; the
+    placed weights are its masses.  Grids above ``MAX_DENSE_CELLS`` cells are
+    refused before anything is placed.
     """
     breaks = tuple(
-        tuple(sorted({a.point[j] for a in x.atoms})) for j in range(x.n)
+        tuple(sorted({c.as_integer_ratio(): c for c in axis}.values(), key=order_key))
+        for axis in zip(*(a.point for a in x.atoms))
     )
     _check_dense([len(bs) + 1 for bs in breaks])
     return StepResolution(x.signature, x.n, breaks, masses=_placed(x, breaks))
@@ -275,10 +278,12 @@ def _nonneg(t: Flat) -> bool:
 
 def _placed(x: DiscreteObservable, breaks: Sequence[Sequence[Fraction]]) -> dict[CellIndex, Flat]:
     """The masses of ``x`` on a grid whose breakpoints include every atom
-    coordinate: each weight, nonzero, at the rank vector of its point."""
+    coordinate: each weight, nonzero, at the rank vector of its point, read
+    from one ``{c.as_integer_ratio(): rank}`` map per axis."""
     sig = x.signature
+    ranks = [{c.as_integer_ratio(): r for r, c in enumerate(bs, 1)} for bs in breaks]
     return {
-        tuple(bisect_left(bs, c) + 1 for bs, c in zip(breaks, a.point)): _flat(a.weight, sig)
+        tuple(rank[c.as_integer_ratio()] for rank, c in zip(ranks, a.point)): _flat(a.weight, sig)
         for a in x.atoms
     }
 
@@ -604,10 +609,7 @@ def resolution_from_doc(doc: dict) -> StepResolution:
         n = _decode_int(doc["n"])
         axes = _decode_list(doc["breakpoints"])
         breakpoints = [[_decode_rational(b) for b in _decode_list(axis)] for axis in axes]
-        table = {
-            tuple(map(_decode_int, _decode_list(c["index"]))): _decode_flat(c["value"], signature.d)
-            for c in _decode_list(doc["cells"])
-        }
+        table = _decode_cells(_decode_list(doc["cells"]), signature.d)
     except (KeyError, TypeError, ValueError, ObservableError) as exc:
         raise ResolutionError(f"bad resolution document: {exc}") from exc
     if len(doc["cells"]) != len(table):

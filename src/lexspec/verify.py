@@ -17,11 +17,11 @@ from math import gcd
 
 from .charpoints import (
     NotReconstructibleError,
+    _reconstruct,
     all_blocks,
     block_cube_check,
     bounds_check,
     rays_check,
-    reconstruct,
 )
 from .boxgeom import Box, Region, closed_open, complement, difference, intersect, union
 from .lexalg import (
@@ -406,7 +406,7 @@ def run_suite(config: TrialConfig) -> SuiteSummary:
         }
         if all(a.point in adjoined_points for a in x.atoms):
             try:
-                back = reconstruct(F)
+                back = _reconstruct(F, report.all_blocks())
                 record("reconstruct_roundtrip", index, back == x)
             except NotReconstructibleError:
                 record("reconstruct_roundtrip", index, False)

@@ -29,8 +29,10 @@ from lexspec.boxgeom import (
     intersect,
     lower_orthant,
     open_closed,
+    order_key,
     parse_interval,
     parse_point,
+    parse_rational,
     parse_region,
     rational,
     union,
@@ -447,6 +449,40 @@ class TestCanonicalText:
         assert digest == "8edc5f6a70fe0a1e08f126596f93440abe6f2f3435ee990331823590dcf0d609"
 
 
+_BIG = 10 ** 3999 + 7  # 4000 digits, the most a document coordinate may have
+
+
+class TestOrderKey:
+    """Sorting by ``order_key`` is sorting the ``Fraction`` values themselves."""
+
+    CASES = {
+        "shared floor": [Q(1, 3), Q(1, 2), Q(2, 3), Q(5, 7), Q(3, 7), Q(99, 100), Q(0)],
+        "negative non-integers": [Q(-1, 2), Q(-3, 2), Q(-1), Q(-2), Q(-5, 3), Q(-4, 3), Q(0)],
+        "integers": [Q(v) for v in (5, -5, 0, 3, -1, 2, -10 ** 40, 10 ** 40)],
+        "4000 digits": [Q(_BIG, _BIG + 1), Q(_BIG - 1, _BIG), Q(-_BIG, _BIG + 1),
+                        Q(_BIG + 1, _BIG), Q(_BIG), Q(-_BIG), Q(1, _BIG), Q(-1, _BIG),
+                        Q(_BIG, 3), Q(_BIG + 1, 3)],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_sorts_like_the_values(self, case):
+        values = self.CASES[case]
+        for shift in range(len(values)):
+            rotated = values[shift:] + values[:shift]
+            assert sorted(rotated, key=order_key) == sorted(rotated)
+
+    @given(st.lists(st.fractions(max_denominator=50), min_size=2, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_sorts_drawn_values_like_the_values(self, values):
+        assert sorted(values, key=order_key) == sorted(values)
+
+    @pytest.mark.parametrize("a, b", [(Q(-1, 2), Q(-3, 2)), (Q(1, 2), Q(2, 4)),
+                                      (Q(-1), Q(-1, 2)), (Q(0), Q(-1, _BIG))])
+    def test_compares_like_the_values(self, a, b):
+        assert (order_key(a) < order_key(b)) == (a < b)
+        assert (order_key(a) == order_key(b)) == (a == b)
+
+
 class TestText:
     @pytest.mark.parametrize(
         "text",
@@ -468,6 +504,20 @@ class TestText:
             parse_interval("[1,2,3)")
         with pytest.raises(GeometryError):
             parse_point("a,b")
+
+    @given(st.from_regex(r"\s?[+-]?(?:[0-9]{1,30}(?:/[0-9]{1,30}|\.[0-9]{0,30})?|\.[0-9]{1,30})\s?",
+                         fullmatch=True))
+    @settings(max_examples=300)
+    def test_parse_rational_reads_like_fraction(self, text):
+        """Integers and p/q are read with int(); the value is Fraction's."""
+        try:
+            want = Q(text)
+        except ZeroDivisionError:
+            with pytest.raises(GeometryError, match="cannot parse rational"):
+                parse_rational(text)
+            return
+        got = parse_rational(text)
+        assert type(got) is Q and got == want
 
 
 @st.composite

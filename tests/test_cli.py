@@ -595,6 +595,49 @@ class TestRationalSpelling:
         assert main(["eval", "--input", ex1, f"--point={text},1"]) == 0
 
 
+class TestNegativePoint:
+    """argparse reads a value that starts with "-" as an option unless it is
+    one plain number, so a point whose first coordinate is negative is
+    written ``--point=-7,1``; the help text says so."""
+
+    @staticmethod
+    def _doc(tmp_path) -> str:
+        sig = {"k": 1, "d": 1, "n": 2}
+        atoms = [{"point": [-8, 0], "weight": {"h": 1, "g": [-1]}},
+                 {"point": ["-13/2", 5], "weight": {"h": 0, "g": [1]}}]
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"kind": "observable", **sig, "atoms": atoms}))
+        return str(path)
+
+    def test_equals_form(self, tmp_path, capsys):
+        assert main(["eval", "--input", self._doc(tmp_path), "--point=-7,1"]) == 0
+        assert capsys.readouterr().out == "(1; -1)\n"
+        assert main(["eval", "--input", self._doc(tmp_path), "--point=-13/4,6"]) == 0
+        assert capsys.readouterr().out == "(1; 0)\n"
+
+    def test_bare_form_exits_two(self, tmp_path, capsys):
+        assert _exit_code(["eval", "--input", self._doc(tmp_path), "--point", "-7,1"]) == 2
+        assert "--point: expected one argument" in capsys.readouterr().err
+
+    def test_help_names_the_equals_form(self, capsys):
+        assert _exit_code(["eval", "--help"]) == 0
+        assert "--point=-7,1" in capsys.readouterr().out
+
+
+class TestDuplicateSpellings:
+    """One point spelled three ways is one point: the adjacent-key check in
+    ``make_observable`` sees equal values, whatever their text."""
+
+    def test_exits_two(self, tmp_path, capsys):
+        spellings = [["1/2", 0], [3, 0], ["0.5", 0], [-1, 2], ["2/4", 0]]
+        weights = [{"h": 0, "g": [1]}] * 4 + [{"h": 1, "g": [-4]}]
+        atoms = [{"point": p, "weight": w} for p, w in zip(spellings, weights)]
+        path = tmp_path / "spellings.json"
+        path.write_text(json.dumps({"kind": "observable", "k": 1, "d": 1, "n": 2, "atoms": atoms}))
+        assert main(["eval", "--input", str(path), "--point", "1,1"]) == 2
+        assert "pairwise distinct" in capsys.readouterr().err
+
+
 def _long_coordinate_doc(kind: str, number) -> dict:
     """An observable with ``number`` as a coordinate, or a two-cell resolution
     with ``number`` as its breakpoint and a negative top mass, whose volume

@@ -8,13 +8,19 @@ from lexspec.boxgeom import Region, complement, difference, intersect, lower_ort
 from lexspec.gallery import build_observable
 from lexspec.lexalg import AlgebraSignature, LexElement, group_add, group_sub, mv_neg, partial_add
 from lexspec.observable import (
+    MAX_DIGITS,
     ObservableError,
+    _decode_cells,
+    _decode_flat,
+    _decode_int,
+    _decode_list,
     make_observable,
     observable_from_doc,
     observable_from_json,
     observable_to_doc,
     observable_to_json,
 )
+from lexspec.spectral import from_observable, resolution_to_doc
 from lexspec.verify import SplitMix64, TrialConfig, random_observable
 
 SIG = AlgebraSignature(2, 1)
@@ -37,6 +43,16 @@ class TestMakeObservable:
     def test_normalization_enforced(self):
         with pytest.raises(ObservableError, match="sum to the unit"):
             make_observable(SIG, 2, [(((0), (0)), el(1, 0))])
+
+    @pytest.mark.parametrize("weights, got", [([el(1, 0)], "(1; 0)"),
+                                              ([el(1, 0), el(1, 1)], "None"),
+                                              ([el(1, 0), el(1, -1)], "(2; -1)")])
+    def test_wrong_total_names_the_sum(self, weights, got):
+        """The total is named as ``sum_finite`` gives it: None above the unit."""
+        atoms = [((i, i), w) for i, w in enumerate(weights)]
+        with pytest.raises(ObservableError) as exc:
+            make_observable(SIG, 2, atoms)
+        assert str(exc.value) == f"weights must sum to the unit (2; 0), got {got}"
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ObservableError, match="distinct"):
@@ -185,3 +201,66 @@ class TestJson:
     def test_bad_document(self):
         with pytest.raises(ObservableError):
             observable_from_doc({"kind": "observable", "k": 2, "d": 1, "n": 2, "atoms": [{"point": [0.5, 1], "weight": {"h": 2, "g": [0]}}]})
+
+
+def _cell_by_cell(cells, d):
+    """Resolution cells decoded one at a time, each integer on its own."""
+    return {tuple(map(_decode_int, _decode_list(c["index"]))): _decode_flat(c["value"], d)
+            for c in cells}
+
+
+def _outcome(decode, cells, d):
+    try:
+        return decode(cells, d)
+    except Exception as exc:  # the exception type and text are what is compared
+        return type(exc), str(exc)
+
+
+# Each edit damages the second cell of a 3.7/1 resolution document.
+_CELL_EDITS = {
+    "index-bool": lambda c: c.update(index=[True, 1]),
+    "index-float": lambda c: c.update(index=[0.0, 1]),
+    "index-string": lambda c: c.update(index="01"),
+    "index-missing": lambda c: c.pop("index"),
+    "value-list": lambda c: c.update(value=[0, 1]),
+    "h-missing": lambda c: c["value"].pop("h"),
+    "h-bool": lambda c: c["value"].update(h=False),
+    "g-string": lambda c: c["value"].update(g="0"),
+    "g-none": lambda c: c["value"].update(g=[None]),
+    "g-long": lambda c: c["value"].update(g=[0, 0]),
+    "h-digits": lambda c: c["value"].update(h=10 ** MAX_DIGITS),
+    "g-digits": lambda c: c["value"].update(g=[-10 ** MAX_DIGITS]),
+}
+
+
+class TestDecodeCells:
+    """The one-pass cell decoder gives the cell-by-cell result: the same
+    table, or the same exception with the same message."""
+
+    @staticmethod
+    def _cells():
+        return resolution_to_doc(from_observable(build_observable("3.7/1")))["cells"]
+
+    def test_well_formed(self):
+        cells = self._cells()
+        assert _decode_cells(cells, 1) == _cell_by_cell(cells, 1)
+        assert _decode_cells([], 1) == {}
+
+    @pytest.mark.parametrize("edit", list(_CELL_EDITS))
+    def test_damaged_cell(self, edit):
+        cells = self._cells()
+        _CELL_EDITS[edit](cells[1])
+        want = _outcome(_cell_by_cell, cells, 1)
+        assert isinstance(want, tuple)
+        assert _outcome(_decode_cells, cells, 1) == want
+
+    @pytest.mark.parametrize("cell", [[0, 1], "cell", None])
+    def test_cell_not_an_object(self, cell):
+        cells = self._cells()
+        cells[1] = cell
+        assert _outcome(_decode_cells, cells, 1) == _outcome(_cell_by_cell, cells, 1)
+
+    def test_wrong_width(self):
+        cells = self._cells()
+        assert _outcome(_decode_cells, cells, 2) == _outcome(_cell_by_cell, cells, 2)
+        assert _outcome(_decode_cells, cells, 2)[0] is ObservableError

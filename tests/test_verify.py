@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st, target
 
-from lexspec import cli, verify
+from lexspec import charpoints, cli, verify
 from lexspec.charpoints import (
     MismatchReport,
     NotReconstructibleError,
@@ -317,22 +317,27 @@ class TestMismatchResolution:
         assert result.value_f.h == 0 and result.value_f.g == (3,)
 
 
-def _count_axiom_checks(monkeypatch) -> list:
-    """Wrap ``check_axioms`` under every name a lexspec module binds it to."""
-    import lexspec.spectral
-
-    original = lexspec.spectral.check_axioms
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` under every name a lexspec module binds it to."""
+    original = getattr(module, name)
     calls = []
 
     def counted(F):
         calls.append(F)
         return original(F)
 
-    for name in ("lexspec", "lexspec.spectral", "lexspec.charpoints", "lexspec.verify", "lexspec.cli"):
-        module = importlib.import_module(name)
-        if getattr(module, "check_axioms", None) is original:
-            monkeypatch.setattr(module, "check_axioms", counted)
+    for mod in ("lexspec", "lexspec.spectral", "lexspec.charpoints", "lexspec.verify",
+                "lexspec.cli", "lexspec.render"):
+        bound = importlib.import_module(mod)
+        if getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
     return calls
+
+
+def _count_axiom_checks(monkeypatch) -> list:
+    import lexspec.spectral
+
+    return _count_calls(monkeypatch, lexspec.spectral, "check_axioms")
 
 
 class TestRandomGridRegion:
@@ -371,6 +376,22 @@ class TestAxiomCheckCount:
         calls = _count_axiom_checks(monkeypatch)
         assert cli.main(["example", "3.7/7"]) == 0
         assert "T_0 = " in capsys.readouterr().out
+        assert len(calls) == 1
+
+
+class TestBlockPassCount:
+    def test_one_block_pass_per_suite_trial(self, monkeypatch):
+        """``run_suite`` hands ``all_blocks``'s blocks to the round trip."""
+        calls = _count_calls(monkeypatch, charpoints, "_blocks")
+        summary = run_suite(TrialConfig(seed=5, trials=60))
+        assert summary.ok and summary.runs["reconstruct_roundtrip"] > 0
+        assert len(calls) == 60
+
+    def test_reconstruct_keeps_its_own_pass(self, monkeypatch):
+        F = from_observable(random_observable(TrialConfig(seed=6, trials=1), 0))
+        blocks = charpoints._blocks(F)[1]
+        calls = _count_calls(monkeypatch, charpoints, "_blocks")
+        assert reconstruct(F) == charpoints._reconstruct(F, blocks)
         assert len(calls) == 1
 
 
