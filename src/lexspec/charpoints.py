@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import Sequence
 
 from .boxgeom import NEG_INF, ExtRat, Region, format_rational, is_finite, parse_region
@@ -215,8 +216,8 @@ def _blocks(F: StepResolution) -> tuple[StepResolution, list[Block]]:
     which determine the characteristic point and sort in its order.
     """
     F = height_grid(F)
+    table = F.table  # refuses an oversized grid before its cells are listed
     cells = list(F.cells())
-    table = F.table
     values = [table[idx] for idx in cells]
     levels = [t[0] for t in values]
     total = len(levels)
@@ -384,12 +385,15 @@ class BoundsCheck:
 
 
 def bounds_check(report: BlockReport) -> BoundsCheck:
-    """Check count <= min(k, k-i+1) per level and <= k(k+1)/2 in total."""
-    k = report.k
+    """Check count <= min(C(k, i), C(k-i+n-1, n-1)) per level i (k-i+1 in the
+    plane; C(k, i) is proven, the other a conjecture that exhaustive searches on
+    small n and k match) and the sum of those limits in total."""
+    k, n = report.k, report.n
+    limits = [min(comb(k, i), comb(k - i + n - 1, n - 1)) for i in range(1, k + 1)]
     per_level = tuple(
-        (i, len(report.levels.get(i, ())), min(k, k - i + 1)) for i in range(1, k + 1)
+        (i, len(report.levels.get(i, ())), lim) for i, lim in enumerate(limits, 1)
     )
-    return BoundsCheck(per_level, len(report.points), k * (k + 1) // 2)
+    return BoundsCheck(per_level, len(report.points), sum(limits))
 
 
 @dataclass(frozen=True, slots=True)

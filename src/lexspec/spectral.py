@@ -17,7 +17,8 @@ for what is returned (``eval_F``, volumes, witnesses, and ``F.values``).
 
 Levels and blocks depend only on the at most k positive-height masses, so
 :func:`height_grid` keeps only their breakpoints (and each axis's extremes).
-Every level and block analysis in :mod:`charpoints` is read off it.
+Every level and block analysis in :mod:`charpoints` is read off it.  Only a
+table built from masses is capped, at ``MAX_DENSE_CELLS`` cells, when built.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ class StepResolution:
 
     @property
     def table(self) -> dict[CellIndex, Flat]:
-        """Every cell's value: the masses prefix-summed over all axes."""
+        """Every cell's value: the masses prefix-summed over all axes, on a capped grid."""
         if self._table is None:
+            _check_dense([m + 1 for m in self.shape])
             self._table = dict.fromkeys(self.cells(), (0,) * (self.signature.d + 1))
             self._table.update(self._masses)
             _sweep(self._table, self.shape, range(self.n))
@@ -201,7 +203,7 @@ def _checked_table(
     return F
 
 
-# Largest dense grid from_observable builds: (m+1)^n cells for m atoms in
+# Largest value table built from masses: (m+1)^n cells for m atoms in
 # general position, so a small document can otherwise ask for billions.
 MAX_DENSE_CELLS = 1 << 20
 
@@ -223,14 +225,13 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
     map keyed by ``as_integer_ratio()`` and sorted by
     :func:`boxgeom.order_key`; the value on a cell is the sum of the weights
     of atoms strictly dominated by any (hence every) point of the cell; the
-    placed weights are its masses.  Grids above ``MAX_DENSE_CELLS`` cells are
-    refused before anything is placed.
+    placed weights are its masses.  No table is built, so the grid has no
+    size cap until ``F.table`` is read.
     """
     breaks = tuple(
         tuple(sorted({c.as_integer_ratio(): c for c in axis}.values(), key=order_key))
         for axis in zip(*(a.point for a in x.atoms))
     )
-    _check_dense([len(bs) + 1 for bs in breaks])
     return StepResolution(x.signature, x.n, breaks, masses=_placed(x, breaks))
 
 
@@ -242,9 +243,10 @@ def height_grid(F: StepResolution) -> StepResolution:
     Each height-0 mass moves up to the next kept breakpoint on every axis, and
     masses landing on one cell are summed.  That keeps every level set, the
     sum of the masses at or below a kept point (a block's infimum) and the
-    render frame.  Only :mod:`charpoints` calls it.  It derives no masses: a
-    table-built ``F`` keeps its own grid in ``render`` and ``reconstruct``,
-    which check no axioms, as deriving them there slowed those commands 7-11%.
+    render frame.  Its table, at most (k + 3)^n cells, is capped like any.
+    Only :mod:`charpoints` calls it.  It derives no masses: a table-built
+    ``F`` keeps its own grid in ``render`` and ``reconstruct``, which check
+    no axioms, as deriving them there slowed those commands 7-11%.
     """
     masses = F._masses
     if masses is None or not all(_nonneg(t) and 0 not in idx for idx, t in masses.items()):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
 from math import gcd
 
 from .charpoints import (
@@ -37,6 +36,7 @@ from .observable import DiscreteObservable, make_observable
 from .spectral import (
     StepResolution,
     _check_dense,
+    _checked_table,
     from_cells,
     from_observable,
     point_mass_via_deltas,
@@ -212,7 +212,7 @@ def saturating_family(k: int) -> DiscreteObservable:
 
 
 def pathological_family(m: int, k: int, style: str = "antichain") -> StepResolution:
-    """Synthetic staircase resolutions with m corner points, heights capped at k.
+    """Staircase resolutions: the prefix sum of m corner masses, capped at height k.
 
     ``antichain`` places m steps along a strictly decreasing staircase (one
     height-1 step each, the last step padded so the total reaches the unit
@@ -230,23 +230,15 @@ def pathological_family(m: int, k: int, style: str = "antichain") -> StepResolut
         raise ValueError("m and k must be >= 1")
     if style not in ("antichain", "chain"):
         raise ValueError(f"unknown style {style!r}")
-    _check_dense((m + 1, m + 1))
+    _check_dense((m + 1, m + 1))  # before the m corners are built
     sig = AlgebraSignature(k, 1)
     breaks = range(1, m + 1)
-    values: dict[tuple[int, int], LexElement] = {}
-    if style == "antichain":
-        prefix = [0, *accumulate([1] * (m - 1) + [max(1, k - m + 1)])]
-        for r, c in product(range(m + 1), repeat=2):
-            jlo = max(1, m + 1 - c)
-            jhi = min(r, m)
-            count = prefix[jhi] - prefix[jlo - 1] if jlo <= jhi else 0
-            values[(r, c)] = LexElement(sig, min(k, count), (0,))
-    else:
-        for r, c in product(range(m + 1), repeat=2):
-            raw = min(r, c)
-            level = k if raw >= m else min(raw, k)
-            values[(r, c)] = LexElement(sig, level, (0,))
-    return from_cells(sig, 2, (breaks, breaks), values)
+    heights = [1] * (m - 1) + [max(1, k - m + 1)]
+    corners = [(j, m + 1 - j) if style == "antichain" else (j, j) for j in range(1, m + 1)]
+    masses = {idx: (h, 0) for idx, h in zip(corners, heights)}
+    table = StepResolution(sig, 2, (breaks, breaks), masses=masses).table
+    capped = {idx: (min(k, h), 0) for idx, (h, _) in table.items()}
+    return _checked_table(sig, 2, (breaks, breaks), capped)
 
 
 def mismatch_resolution() -> StepResolution:

@@ -11,8 +11,11 @@ by tests/test_verify.py for the chained-union random suite region and the
 ``Fraction``-drawing random observable,
 by tests/test_charpoints.py and tests/test_verify.py for the walking
 projections, the antichain length and the tuple-keyed block pass,
-by tests/test_charpoints.py for the planar ray scan and the closed-join
+by tests/test_charpoints.py for the planar ray scan and the most closed
+joins per level of k unit atoms,
+by tests/test_charpoints.py and tests/test_cli.py for the closed-join
 characteristic points of an observable,
+by tests/test_verify.py for the staircase family's closed-form table,
 by tests/test_spectral.py and tests/test_charpoints.py for the random
 resolutions, the masses by corner sums and the cell-by-cell reconstruction
 witness,
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction as Q
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from operator import sub
 from xml.sax.saxutils import escape
 
@@ -160,6 +163,44 @@ def closed_join_char_points(x) -> set[tuple[Q, ...]]:
         if below and tuple(map(max, zip(*below))) == p:
             found.add(p)
     return found
+
+
+def max_closed_joins_per_level(n: int, k: int) -> list[int]:
+    """The most characteristic points at each level 1..k over every multiset
+    of k unit atoms on {0..k-1}^n, counted as closed joins: the distinct joins
+    J of nonempty atom sets S with exactly |S| atoms at or below J.
+
+    Every observable's positive-height atoms are such a multiset (an atom of
+    height h is h coinciding unit atoms), and only the coordinate order on
+    each axis matters, which k values per axis realize.
+    """
+    best = [0] * k
+    for atoms in combinations_with_replacement(list(product(range(k), repeat=n)), k):
+        joins: list[set] = [set() for _ in range(k)]
+        for size in range(1, k + 1):
+            for subset in combinations(atoms, size):
+                join = tuple(map(max, zip(*subset)))
+                if sum(all(c <= q for c, q in zip(a, join)) for a in atoms) == size:
+                    joins[size - 1].add(join)
+        best = [max(b, len(js)) for b, js in zip(best, joins)]
+    return best
+
+
+def reference_pathological_family(m: int, k: int, style: str) -> dict:
+    """The flat value table of ``pathological_family(m, k, style)`` in closed
+    form: the capped count of staircase corners at or below each cell for
+    ``antichain`` (a difference of prefix counts of corner heights), the
+    capped min(r, c) ring for ``chain``, saturated at k on the top cell."""
+    table = {}
+    prefix = [0, *accumulate([1] * (m - 1) + [max(1, k - m + 1)])]
+    for r, c in product(range(m + 1), repeat=2):
+        if style == "antichain":
+            jlo, jhi = max(1, m + 1 - c), min(r, m)
+            count = prefix[jhi] - prefix[jlo - 1] if jlo <= jhi else 0
+        else:
+            count = k if min(r, c) >= m else min(r, c)
+        table[(r, c)] = (min(k, count), 0)
+    return table
 
 
 def reference_cell_box(F, idx) -> Box:

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import product
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -46,6 +47,7 @@ from lexspec.verify import (
     mismatch_resolution,
     pathological_family,
     random_observable,
+    run_suite,
 )
 
 from oracles import (
@@ -55,6 +57,7 @@ from oracles import (
     check_masses,
     closed_join_char_points,
     max_antichain,
+    max_closed_joins_per_level,
     oracle_char_points,
     projection,
     reference_blocks,
@@ -258,6 +261,48 @@ class TestBounds:
 
         bc = bounds_check(all_blocks(pathological_family(4, 2)))
         assert not bc.ok
+
+
+def _limits(n, k):
+    bc = bounds_check(SimpleNamespace(k=k, n=n, levels={}, points=[]))
+    return [lim for _, _, lim in bc.per_level], bc.total_limit
+
+
+class TestDimensionBounds:
+    """The per-level limit min(C(k, i), C(k-i+n-1, n-1)) against the most
+    characteristic points that k unit atoms reach in R^n."""
+
+    @pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (2, 4), (3, 3)])
+    def test_rule_matches_exhaustive_search(self, n, k):
+        limits, total = _limits(n, k)
+        assert limits == max_closed_joins_per_level(n, k)
+        assert total == sum(limits)
+
+    # max_closed_joins_per_level(4, 3) and (3, 4) took 79 s together on a
+    # 2-vCPU Xeon VM (Python 3.11), too long for every run, so their results
+    # are stored.
+    @pytest.mark.parametrize("n, k, most", [(4, 3, [3, 3, 1]), (3, 4, [4, 6, 3, 1])])
+    def test_rule_matches_stored_search(self, n, k, most):
+        assert _limits(n, k) == (most, sum(most))
+
+    def test_planar_limits_unchanged(self):
+        for k in range(1, 13):
+            assert _limits(2, k) == ([k - i + 1 for i in range(1, k + 1)], k * (k + 1) // 2)
+
+    def test_unit_atoms_on_the_axes_of_r3(self):
+        # three incomparable atoms with three incomparable pairwise joins
+        sig = AlgebraSignature(3, 1)
+        one = LexElement(sig, 1, (0,))
+        x = make_observable(sig, 3, [(p, one) for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+        bc = bounds_check(all_blocks(from_observable(x)))
+        assert [c for _, c, _ in bc.per_level] == [3, 3, 1]
+        assert bc.ok and bc.total == bc.total_limit == 7
+
+    def test_suite_in_r3_reports_no_bounds_failure(self):
+        # trials 27 and 241 exceeded the planar limits
+        summary = run_suite(TrialConfig(seed=3, trials=300, n_range=(3, 3)))
+        assert summary.runs["bounds"] > 0
+        assert summary.failures["bounds"] == 0
 
 
 class TestRays:

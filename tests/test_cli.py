@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexspec
+from lexspec.charpoints import format_ext_point
 from lexspec.cli import build_parser, main
 from lexspec.gallery import build_observable
 from lexspec.observable import MAX_DIGITS, MAX_K, observable_from_doc, observable_to_json
 from lexspec.spectral import MAX_DENSE_CELLS, from_observable, resolution_to_json
 from lexspec.verify import mismatch_resolution, pathological_family
+
+from oracles import closed_join_char_points
 
 
 @pytest.fixture()
@@ -330,6 +333,7 @@ class TestLoadDocument:
         assert "cell map mismatch" in capsys.readouterr().err
 
     def test_huge_dense_grid_exit_code(self, tmp_path, capsys):
+        # axioms reads the 40 masses alone; eval needs the 41^6-cell table
         doc = {
             "kind": "observable", "k": 40, "d": 1, "n": 6,
             "atoms": [{"point": [i] * 6, "weight": {"h": 1, "g": [0]}} for i in range(40)],
@@ -337,7 +341,11 @@ class TestLoadDocument:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
         start = time.perf_counter()
-        assert main(["axioms", "--input", str(path)]) == 2
+        assert main(["axioms", "--input", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["eval", "--input", str(path), "--point", "50,50,50,50,50,50"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "dense grid of 4750104241 cells" in capsys.readouterr().err
 
@@ -353,12 +361,16 @@ class TestLoadDocument:
             doc["cells"] = [{"index": [0] * n, "value": {"h": 0, "g": [0]}}]
         path = tmp_path / "axes.json"
         path.write_text(json.dumps(doc))
+        # an observable's axioms read its one mass; charpoints needs a table,
+        # refused before its cells are listed
+        command = "charpoints" if kind == "observable" else "axioms"
         start = time.perf_counter()
-        assert main(["axioms", "--input", str(path)]) == 2
+        assert main([command, "--input", str(path)]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         if kind == "observable":
             assert f"dense grid of at least 2^{n} cells exceeds the limit" in err
+            assert main(["axioms", "--input", str(path)]) == 0
         else:
             assert "cell map mismatch" in err
 
@@ -409,6 +421,47 @@ _STRING_FOR_ARRAY = {
     "point": ("observable", lambda doc: doc["atoms"][0].update(point="12")),
     "weight-g": ("observable", lambda doc: doc["atoms"][0]["weight"].update(g="0")),
 }
+
+
+def _over_cap_doc() -> dict:
+    """40 atoms in R^6 (a dense grid of 41^6 cells), three of them of
+    positive height, so the height grid has at most 5 breakpoints per axis."""
+    weights = {5: (1, -37), 17: (1, 0), 30: (1, 0)}
+    atoms = [
+        {"point": [i * (j + 3) % 41 for j in range(6)],
+         "weight": {"h": weights.get(i, (0, 1))[0], "g": [weights.get(i, (0, 1))[1]]}}
+        for i in range(40)
+    ]
+    return {"kind": "observable", "k": 3, "d": 1, "n": 6, "atoms": atoms}
+
+
+class TestOverCapObservable:
+    """The cap bounds the tables an analysis builds, not the dense grid of
+    the atoms: the masses and the height grid fit, the dense table does not."""
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "r6.json"
+        path.write_text(json.dumps(_over_cap_doc()))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [["axioms"], ["charpoints", "--json"], ["regions"]])
+    def test_analysis_runs(self, path, capsys, command):
+        start = time.perf_counter()
+        assert main([command[0], "--input", path, *command[1:]]) == 0
+        assert time.perf_counter() - start < 1.0
+
+    def test_char_points_are_the_closed_joins(self, path, capsys):
+        assert main(["charpoints", "--input", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        x = observable_from_doc(_over_cap_doc())
+        points = sorted(closed_join_char_points(x))
+        assert doc["char_points"] == [format_ext_point(p) for p in points]
+        assert doc["counts"] == {"1": 3, "2": 3, "3": 1} and doc["bounds"]["ok"]
+
+    def test_dense_table_refused(self, path, capsys):
+        assert main(["eval", "--input", path, "--point=50,50,50,50,50,50"]) == 2
+        assert f"exceeds the limit of {MAX_DENSE_CELLS}" in capsys.readouterr().err
 
 
 class TestStringForArray:

@@ -87,15 +87,18 @@ class TestFromObservable:
         assert eval_F(F, (Q(5, 2), Q(5, 2))) == SIG.unit
 
     def test_huge_dense_grid_rejected_before_building_it(self):
-        # 40 atoms on the diagonal of R^6 ask for 41^6 (about 4.7e9) cells
+        # 40 atoms on the diagonal of R^6 ask for 41^6 (about 4.7e9) cells;
+        # the masses alone settle the axioms, and the table is refused
         doc = {
             "kind": "observable", "k": 40, "d": 1, "n": 6,
             "atoms": [{"point": [i] * 6, "weight": {"h": 1, "g": [0]}} for i in range(40)],
         }
         start = time.perf_counter()
-        x = observable_from_doc(doc)
+        F = from_observable(observable_from_doc(doc))
+        assert F.shape == (40,) * 6
         with pytest.raises(ResolutionError, match=f"exceeds the limit of {MAX_DENSE_CELLS}"):
-            from_observable(x)
+            F.table
+        assert check_axioms(F).ok
         assert time.perf_counter() - start < 1.0
 
 

@@ -38,7 +38,12 @@ from lexspec.verify import (
     trial_rng,
 )
 
-from oracles import max_antichain, reference_random_grid_region, reference_random_observable
+from oracles import (
+    max_antichain,
+    reference_pathological_family,
+    reference_random_grid_region,
+    reference_random_observable,
+)
 
 
 class TestSplitMix64:
@@ -228,6 +233,14 @@ class TestPathologicalFamily:
     def test_bad_style(self):
         with pytest.raises(ValueError):
             pathological_family(2, 2, style="spiral")
+
+    @pytest.mark.parametrize("style", ["antichain", "chain"])
+    def test_table_matches_closed_form(self, style):
+        for m in range(1, 31):
+            for k in range(1, 12):
+                F = pathological_family(m, k, style)
+                assert F.breakpoints == (tuple(range(1, m + 1)),) * 2
+                assert F.table == reference_pathological_family(m, k, style), (m, k)
 
 
 @st.composite
