@@ -21,12 +21,14 @@ a run of integer piece indices on the induced grid of atomic cells (isolated
 points and open gaps).  Keep the occupied cells, greedily merge adjacent runs
 along the last axis, then the one before it, and so on, and build intervals
 only for the final runs.  The result is deterministic; compactness is not a
-goal.  :func:`complement`
-merges the cells of its operand's own grid that it misses.  The other
-boolean operations pick atomic cells on the common grid of both operands and
-rank them again with ``Region(...)``: the benchmark's instrumentation test
-counts that call, so emitting the merged runs directly waits for a
-benchmark change (ROADMAP.md, item 5).
+goal.  A lone box is its own canonical form and is kept as given.
+:func:`complement` merges the cells of its operand's own grid that it
+misses.  The other boolean operations pick atomic cells on the common grid
+of both operands.  When those are exactly one operand's cells, that operand
+is the result, since canonical text is the same on every grid that refines
+its own; otherwise they rank the cells again with ``Region(...)``: the
+benchmark's instrumentation test counts that call, so emitting the merged
+runs directly waits for a benchmark change (ROADMAP.md, item 5).
 
 Cells of a left-open right-closed breakpoint grid print straight from their
 merged cell runs (:func:`cell_region_text`): on an axis with m breakpoints,
@@ -288,7 +290,10 @@ def _merged_boxes(
 
 
 class Region:
-    """Finite union of boxes in canonical disjoint form."""
+    """Finite union of boxes in canonical disjoint form.
+
+    Regions are never mutated, so an operation may return an operand as its
+    result and callers may share it."""
 
     __slots__ = ("n", "boxes")
 
@@ -296,7 +301,11 @@ class Region:
         if n < 1:
             raise GeometryError(f"dimension must be >= 1, got {n}")
         self.n = n
-        values, (cells,) = _grid(n, (tuple(boxes),))
+        boxes = tuple(boxes)
+        if len(boxes) <= 1 and all(b.n == n for b in boxes):
+            self.boxes = boxes  # a single box is its own canonical form
+            return
+        values, (cells,) = _grid(n, (boxes,))
         self.boxes = _merged_boxes(values, cells)
 
     @classmethod
@@ -353,12 +362,18 @@ def cell_region_text(
 
 def _boolean_op(r1: Region, r2: Region, keep) -> Region:
     """``keep`` picks atomic cells from the two regions' cells on their common
-    grid; the result is canonicalized from those cells."""
+    grid.  An operand that covers exactly the kept cells is the result, as
+    canonical text is the same on every grid that refines its own; otherwise
+    the result is canonicalized from the kept cells."""
     if r1.n != r2.n:
         raise GeometryError(f"dimension mismatch: {r1.n} vs {r2.n}")
     values, (cells1, cells2) = _grid(r1.n, (r1.boxes, r2.boxes))
-    pieces = [[_run_interval(vals, p, p) for p in range(2 * len(vals) + 1)] for vals in values]
     kept = keep(cells1, cells2)
+    if kept == cells1:
+        return r1
+    if kept == cells2:
+        return r2
+    pieces = [[_run_interval(vals, p, p) for p in range(2 * len(vals) + 1)] for vals in values]
     return Region(r1.n, [Box(tuple(axis[p] for axis, p in zip(pieces, cell))) for cell in kept])
 
 

@@ -86,7 +86,7 @@ def make_observable(
             raise ObservableError(f"weight {weight} has a foreign signature")
         if not in_unit_interval(weight):
             raise ObservableError(f"weight {weight} lies outside [0, u]")
-        if weight == signature.zero:
+        if not weight.h and not any(weight.g):
             raise ObservableError(f"zero weight at {p}")
         normalized.append(Atom(p, weight))
     if not normalized:

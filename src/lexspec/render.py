@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .boxgeom import _merged_runs, format_rational
 from .charpoints import Block, _blocks, _point, format_ext_point
@@ -97,6 +96,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` as XML entities, the replacements
+    of ``xml.sax.saxutils.escape``, whose import pulls ``urllib`` and ``ssl``
+    into every process that imports this module."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _rect(x: str, y: str, w, h, fill: str, stroke: str = "#333333") -> str:
     return (f'<rect x="{x}" y="{y}" width="{w}" height="{h}" '
             f'fill="{fill}" stroke="{stroke}" stroke-width="1"/>')
@@ -141,7 +147,7 @@ def render_svg(F: StepResolution) -> str:
             f'<circle cx="{x_text[rx]}" cy="{y_text[ry]}" r="3.5" '
             f'fill="#b2182b" stroke="#ffffff" stroke-width="1"/>'
         )
-        label = escape(format_ext_point(_point(F.breakpoints, (rx, ry))))
+        label = _escape(format_ext_point(_point(F.breakpoints, (rx, ry))))
         out.append(
             f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" '
             f'font-family="monospace" font-size="11" fill="#111111">{label}</text>'

@@ -16,6 +16,8 @@ from lexspec.boxgeom import (
     NEG_INF,
     POS_INF,
     Region,
+    _grid,
+    _merged_boxes,
     _run_interval,
     above,
     below,
@@ -324,6 +326,53 @@ class TestRegionSemantics:
         c = complement(r)
         for p in _probe_points(r.n):
             assert r.contains(p) != c.contains(p)
+
+
+def _canonical(n, boxes):
+    """The canonical boxes of ``boxes`` by the cell merge itself, with no shortcut."""
+    values, (cells,) = _grid(n, (tuple(boxes),))
+    return _merged_boxes(values, cells)
+
+
+def lone_boxes():
+    return st.integers(1, 3).flatmap(
+        lambda n: st.lists(grid_intervals(), min_size=n, max_size=n).map(lambda ivs: Box(tuple(ivs)))
+    )
+
+
+class TestKeptCanonicalForm:
+    """A lone box is stored as given and an operation whose result covers an
+    operand's cells returns that operand; both must be what the cell merge
+    builds."""
+
+    @settings(deadline=None)
+    @given(lone_boxes())
+    def test_lone_box_is_canonical(self, b):
+        r = Region(b.n, [b])
+        twice = Region(b.n, [b, b])
+        assert r.boxes == (b,) == _canonical(b.n, [b])
+        assert r == twice and format_region(r) == format_region(twice)
+
+    @settings(deadline=None)
+    @given(region_pairs())
+    def test_results_are_canonical(self, pair):
+        a, b = pair
+        assert union(a, b).boxes == _canonical(a.n, a.boxes + b.boxes)
+        assert union(a, b) == Region(a.n, [*a.boxes, *b.boxes])
+        for r in (union(a, b), intersect(a, b), difference(a, b), difference(b, a)):
+            assert r.boxes == _canonical(a.n, r.boxes)
+
+    @settings(deadline=None)
+    @given(any_region())
+    def test_unchanged_operand_is_the_result(self, a):
+        empty = Region.empty(a.n)
+        for got in (union(a, empty), union(empty, a), difference(a, empty), intersect(a, a)):
+            assert got == a and format_region(got) == format_region(a)
+
+    @pytest.mark.parametrize("n, axes", [(2, 3), (2, 1), (1, 2)])
+    def test_lone_box_of_wrong_dimension_is_refused(self, n, axes):
+        with pytest.raises(GeometryError, match="dimension"):
+            Region(n, [Box((FULL_LINE,) * axes)])
 
 
 class TestComplementOracle:

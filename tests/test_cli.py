@@ -264,15 +264,32 @@ class TestExample:
         assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
-def _fresh_process(argv):
-    """Exit code, stdout and stderr of ``lexspec argv`` in a new interpreter."""
+def _fresh_python(args):
+    """Exit code, stdout and stderr of ``python args`` in a new interpreter
+    that imports this ``lexspec``."""
     paths = [str(Path(lexspec.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
-        [sys.executable, "-m", "lexspec.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of ``lexspec argv`` in a new interpreter."""
+    return _fresh_python(["-m", "lexspec.cli", *argv])
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_network_modules(self):
+        # compared against the modules loaded before, as site may preload some
+        code = ("import json, sys; before = set(sys.modules); import lexspec.cli; "
+                "print(json.dumps(sorted(set(sys.modules) - before)))")
+        rc, out, err = _fresh_python(["-c", code])
+        assert rc == 0, err
+        loaded = set(json.loads(out))
+        assert "lexspec.render" in loaded
+        assert not loaded & {"xml.sax", "urllib.request", "http.client", "ssl", "socket"}
 
 
 def _this_process(argv, capsys):

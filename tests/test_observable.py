@@ -64,6 +64,17 @@ class TestMakeObservable:
                 SIG, 2, [((0, 0), el(0, 0)), ((1, 1), el(2, 0))]
             )
 
+    def test_zero_weight_is_read_from_components(self, monkeypatch):
+        # a nonzero g alone is a nonzero weight; the zero element is never built
+        sig = AlgebraSignature(2, 3)
+        monkeypatch.setattr(AlgebraSignature, "zero", property(lambda s: pytest.fail("built")))
+        x = make_observable(sig, 1, [((0,), LexElement(sig, 0, (0, 1, 0))),
+                                     ((1,), LexElement(sig, 2, (0, -1, 0)))])
+        assert len(x.atoms) == 2
+        with pytest.raises(ObservableError, match="zero weight at"):
+            make_observable(sig, 1, [((0,), LexElement(sig, 0, (0, 0, 0))),
+                                     ((1,), LexElement(sig, 2, (0, 0, 0)))])
+
     def test_weight_outside_interval_rejected(self):
         with pytest.raises(ObservableError, match="outside"):
             make_observable(SIG, 2, [((0, 0), el(3, 0))])

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction as Q
 from itertools import product
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,14 @@ from lexspec.cli import main
 from lexspec.gallery import build_example
 from lexspec.lexalg import AlgebraSignature, LexElement
 from lexspec.observable import make_observable, observable_to_json
-from lexspec.render import ASCII_HEIGHT, ASCII_WIDTH, RenderError, render_ascii, render_svg
+from lexspec.render import (
+    ASCII_HEIGHT,
+    ASCII_WIDTH,
+    RenderError,
+    _escape,
+    render_ascii,
+    render_svg,
+)
 from lexspec.spectral import from_cells, from_observable
 from lexspec.verify import (
     SplitMix64,
@@ -72,6 +80,18 @@ class TestRenderDigest:
             h.update(render_ascii(F).encode())
             h.update(render_svg(F).encode())
         assert h.hexdigest() == "f1ccf6dbb8408c3b65f71243761e639ba46ff6ac3286f01fb64b1a5d97865786"
+
+
+class TestLabelEscape:
+    """SVG labels are escaped without ``xml.sax``, as ``saxutils.escape`` would."""
+
+    @pytest.mark.parametrize("text", ["(1, 2)", "a&b<c>d", "&amp;&lt;", "<<&>>", ""])
+    def test_fixed_strings(self, text):
+        assert _escape(text) == escape(text)
+
+    @given(st.text(alphabet="&<>;amplgt 1", max_size=24))
+    def test_matches_saxutils(self, text):
+        assert _escape(text) == escape(text)
 
 
 class TestSvgFromCellRuns:
