@@ -15,13 +15,15 @@ one unit interval.  Coordinate lists are sorted that way here and in
 ``v.as_integer_ratio()``, which equal values share, not by hashing a
 ``Fraction``; only a point query that may fall between breakpoints bisects.
 
-Canonical form: rank the finite endpoint values of each axis once, keyed by
-their reduced integer pair (numerator, denominator); every interval is then
-a run of integer piece indices on the induced grid of atomic cells (isolated
-points and open gaps).  Keep the occupied cells, greedily merge adjacent runs
-along the last axis, then the one before it, and so on, and build intervals
-only for the final runs.  The result is deterministic; compactness is not a
-goal.  A lone box is its own canonical form and is kept as given.
+Canonical form: each finite interval end cuts its axis just below or just
+above its value, and the cuts of each axis are ranked once, keyed by the
+value's reduced integer pair (numerator, denominator) and the side.  Every
+interval is then a run of integer piece indices on the grid of atomic cells
+between cuts, c + 1 pieces per axis for c distinct cuts.  Keep the occupied
+cells, greedily merge adjacent runs along the last axis, then the one before
+it, and so on, and build intervals only for the final runs.  The result is
+deterministic and the same on every grid that resolves the set; compactness
+is not a goal.  A lone box is its own canonical form and is kept as given.
 :func:`complement` merges the cells of its operand's own grid that it
 misses.  The other boolean operations pick atomic cells on the common grid
 of both operands.  When those are exactly one operand's cells, that operand
@@ -31,11 +33,11 @@ benchmark's instrumentation test counts that call, so emitting the merged
 runs directly waits for a benchmark change (ROADMAP.md, item 5).
 
 Cells of a left-open right-closed breakpoint grid print straight from their
-merged cell runs (:func:`cell_region_text`): on an axis with m breakpoints,
-cells r0 .. r1 are pieces 2r0 .. min(2r1+1, 2m), a map strictly increasing in
-both ends, so the text is canonical; :func:`parse_region` reads the
-:class:`Region` back.  Runs are nonempty on sorted distinct values, so their
-intervals are valid by construction and skip ``Interval`` validation.
+merged cell runs (:func:`cell_region_text`): such cells cut each axis just
+above its breakpoints only, so cell r is piece r of their cut grid and the
+text is canonical; :func:`parse_region` reads the :class:`Region` back.  Runs
+are nonempty on sorted distinct cuts, so their intervals are valid by
+construction and skip ``Interval`` validation.
 """
 
 from __future__ import annotations
@@ -113,27 +115,24 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self) -> None:
-        for end in (self.lo, self.hi):
-            if not isinstance(end, _Infinity):
-                rational(end)  # raises for an inexact end
-        if isinstance(self.lo, _Infinity):
-            if self.lo is not NEG_INF or self.lo_closed:
-                raise GeometryError("lower end may only be an open -inf")
-        if isinstance(self.hi, _Infinity):
-            if self.hi is not POS_INF or self.hi_closed:
-                raise GeometryError("upper end may only be an open +inf")
-        if self.lo == self.hi:
-            if not (self.lo_closed and self.hi_closed):
-                raise GeometryError(f"empty interval: {self}")
-        elif not self.lo < self.hi:
+        lo, hi = self.lo, self.hi
+        if isinstance(lo, _Infinity) and (lo is not NEG_INF or self.lo_closed):
+            raise GeometryError("lower end may only be an open -inf")
+        if isinstance(hi, _Infinity) and (hi is not POS_INF or self.hi_closed):
+            raise GeometryError("upper end may only be an open +inf")
+        if lo is not NEG_INF:
+            rational(lo)  # raises for an inexact end
+        if hi is not POS_INF:
+            rational(hi)
+        if not (lo is NEG_INF or hi is POS_INF or lo < hi
+                or (lo == hi and self.lo_closed and self.hi_closed)):
             raise GeometryError(f"empty interval: {self}")
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or (x == self.lo and not self.lo_closed):
+        lo, hi = self.lo, self.hi
+        if lo is not NEG_INF and (x < lo if self.lo_closed else x <= lo):
             return False
-        if x > self.hi or (x == self.hi and not self.hi_closed):
-            return False
-        return True
+        return hi is POS_INF or (x <= hi if self.hi_closed else x < hi)
 
     def __str__(self) -> str:
         return format_interval(self)
@@ -185,39 +184,43 @@ class Box:
 
 # --- canonicalization -------------------------------------------------------
 #
-# Atomic pieces of one axis, given sorted finite values v_0 < ... < v_{m-1}:
-#   (-inf,v_0), [v_0,v_0], (v_0,v_1), [v_1,v_1], ..., (v_{m-1},+inf)
-# are numbered 0 .. 2m: piece 2r+1 is the point v_r and piece 2r the open gap
-# below it.  With m = 0 the single piece 0 is the full line.  An interval whose
-# finite endpoints are among the values is the contiguous run of pieces
-# (lo, hi) with
-#   lo = 0 for -inf, 2r+1 for a closed end at v_r, 2r+2 for an open one;
-#   hi = 2m for +inf, 2r+1 for a closed end at v_r, 2r for an open one.
+# A cut (v, side) splits an axis just below v (side 0: the ends ``[v`` and
+# ``v)``) or just above it (side 1: ``(v`` and ``v]``).  Sorted distinct cuts
+# c_0 < ... < c_{m-1}, ordered by (value, side), bound the atomic pieces 0 .. m:
+# piece i lies between c_{i-1} and c_i (c_{-1} = -inf, c_m = +inf), and is the
+# point [v,v] when those are the two cuts of v.  An interval whose finite ends
+# are among the cuts is the contiguous run of pieces (lo, hi) with
+#   lo = 0 for -inf, i + 1 for an end at cut c_i;
+#   hi = m for +inf, i for an end at cut c_i.
 # Two runs tile one interval iff the second starts at the first's hi + 1, and
 # the order of runs as (lo, hi) pairs is the order of their intervals by
 # (lower end, lower end open, upper end, upper end closed).
 
+Cut = tuple[Fraction, int]
+
 
 def _grid(
     n: int, box_lists: Sequence[Sequence[Box]]
-) -> tuple[list[list[Fraction]], list[set[tuple[int, ...]]]]:
-    """Sorted finite endpoints per axis over all ``box_lists``, and the set of
-    atomic cells (tuples of piece indices) each list covers on that grid.
-    Endpoints are keyed by ``v.as_integer_ratio()``, which equal values share,
-    and sorted by :func:`order_key`."""
-    axis_ends: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(n)]
+) -> tuple[list[list[Cut]], list[set[tuple[int, ...]]]]:
+    """Sorted cuts per axis over all ``box_lists``, and the set of atomic
+    cells (tuples of piece indices) each list covers on that grid.  A cut is
+    keyed by ``(v.as_integer_ratio(), side)``, which equal values share, and
+    sorted by ``(order_key(v), side)``."""
+    axis_cuts: list[dict[tuple[tuple[int, int], int], Cut]] = [{} for _ in range(n)]
     for boxes in box_lists:
         for b in boxes:
             if b.n != n:
                 raise GeometryError(f"box of dimension {b.n} in a {n}-dimensional region")
-            for ends, iv in zip(axis_ends, b.dims):
+            for cuts, iv in zip(axis_cuts, b.dims):
                 if iv.lo is not NEG_INF:
-                    ends.setdefault(iv.lo.as_integer_ratio(), iv.lo)
+                    side = 0 if iv.lo_closed else 1
+                    cuts.setdefault((iv.lo.as_integer_ratio(), side), (iv.lo, side))
                 if iv.hi is not POS_INF:
-                    ends.setdefault(iv.hi.as_integer_ratio(), iv.hi)
-    values = [sorted(ends.values(), key=order_key) for ends in axis_ends]
-    ranks = [{v.as_integer_ratio(): r for r, v in enumerate(vals)} for vals in values]
-    tops = [2 * len(vals) for vals in values]
+                    side = 1 if iv.hi_closed else 0
+                    cuts.setdefault((iv.hi.as_integer_ratio(), side), (iv.hi, side))
+    cuts = [sorted(c.values(), key=lambda c: (order_key(c[0]), c[1])) for c in axis_cuts]
+    ranks = [{(v.as_integer_ratio(), side): r for r, (v, side) in enumerate(cs)} for cs in cuts]
+    tops = [len(cs) for cs in cuts]
     cell_sets = []
     for boxes in box_lists:
         cells: set[tuple[int, ...]] = set()
@@ -225,13 +228,13 @@ def _grid(
             ranges = []
             for rank, top, iv in zip(ranks, tops, b.dims):
                 lo = 0 if iv.lo is NEG_INF else (
-                    2 * rank[iv.lo.as_integer_ratio()] + (1 if iv.lo_closed else 2))
+                    rank[iv.lo.as_integer_ratio(), 0 if iv.lo_closed else 1] + 1)
                 hi = top if iv.hi is POS_INF else (
-                    2 * rank[iv.hi.as_integer_ratio()] + (1 if iv.hi_closed else 0))
+                    rank[iv.hi.as_integer_ratio(), 1 if iv.hi_closed else 0])
                 ranges.append(range(lo, hi + 1))
             cells.update(product(*ranges))
         cell_sets.append(cells)
-    return values, cell_sets
+    return cuts, cell_sets
 
 
 # Slot setters of the frozen Interval, for intervals valid by construction.
@@ -239,14 +242,16 @@ _set_lo, _set_lo_closed = Interval.lo.__set__, Interval.lo_closed.__set__
 _set_hi, _set_hi_closed = Interval.hi.__set__, Interval.hi_closed.__set__
 
 
-def _run_interval(vals: Sequence[Fraction], lo: int, hi: int) -> Interval:
-    """The interval covered by the nonempty run of pieces ``lo`` .. ``hi`` of
-    ``vals``, built without ``Interval.__post_init__``."""
+def _run_interval(cuts: Sequence[Cut], lo: int, hi: int) -> Interval:
+    """The interval covered by the nonempty run of pieces ``lo`` .. ``hi``
+    between ``cuts``, built without ``Interval.__post_init__``."""
     iv = object.__new__(Interval)
-    _set_lo(iv, NEG_INF if lo == 0 else vals[(lo - 1) // 2])
-    _set_lo_closed(iv, lo % 2 == 1)
-    _set_hi(iv, POS_INF if hi == 2 * len(vals) else vals[hi // 2])
-    _set_hi_closed(iv, hi % 2 == 1)
+    v, side = cuts[lo - 1] if lo else (NEG_INF, 1)  # infinite ends are open
+    _set_lo(iv, v)
+    _set_lo_closed(iv, side == 0)
+    v, side = cuts[hi] if hi < len(cuts) else (POS_INF, 0)
+    _set_hi(iv, v)
+    _set_hi_closed(iv, side == 1)
     return iv
 
 
@@ -280,12 +285,12 @@ def _merged_runs(n: int, cells: Iterable[tuple[int, ...]]) -> list[tuple[int, ..
 
 
 def _merged_boxes(
-    values: Sequence[Sequence[Fraction]], cells: Iterable[tuple[int, ...]]
+    cuts: Sequence[Sequence[Cut]], cells: Iterable[tuple[int, ...]]
 ) -> tuple[Box, ...]:
     """Canonical boxes of a set of atomic cells (tuples of piece indices)."""
     return tuple(
-        Box(tuple(_run_interval(vals, *run[2 * j:2 * j + 2]) for j, vals in enumerate(values)))
-        for run in _merged_runs(len(values), cells)
+        Box(tuple(_run_interval(cs, *run[2 * j:2 * j + 2]) for j, cs in enumerate(cuts)))
+        for run in _merged_runs(len(cuts), cells)
     )
 
 
@@ -305,8 +310,8 @@ class Region:
         if len(boxes) <= 1 and all(b.n == n for b in boxes):
             self.boxes = boxes  # a single box is its own canonical form
             return
-        values, (cells,) = _grid(n, (boxes,))
-        self.boxes = _merged_boxes(values, cells)
+        cuts, (cells,) = _grid(n, (boxes,))
+        self.boxes = _merged_boxes(cuts, cells)
 
     @classmethod
     def empty(cls, n: int) -> Region:
@@ -322,7 +327,7 @@ class Region:
     def contains(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.n:
             raise GeometryError(f"point has {len(point)} coordinates, region has {self.n}")
-        return any(b.contains(point) for b in self.boxes)
+        return any(all(map(Interval.contains, b.dims, point)) for b in self.boxes)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -367,13 +372,13 @@ def _boolean_op(r1: Region, r2: Region, keep) -> Region:
     the result is canonicalized from the kept cells."""
     if r1.n != r2.n:
         raise GeometryError(f"dimension mismatch: {r1.n} vs {r2.n}")
-    values, (cells1, cells2) = _grid(r1.n, (r1.boxes, r2.boxes))
+    cuts, (cells1, cells2) = _grid(r1.n, (r1.boxes, r2.boxes))
     kept = keep(cells1, cells2)
     if kept == cells1:
         return r1
     if kept == cells2:
         return r2
-    pieces = [[_run_interval(vals, p, p) for p in range(2 * len(vals) + 1)] for vals in values]
+    pieces = [[_run_interval(cs, p, p) for p in range(len(cs) + 1)] for cs in cuts]
     return Region(r1.n, [Box(tuple(axis[p] for axis, p in zip(pieces, cell))) for cell in kept])
 
 
@@ -391,11 +396,11 @@ def difference(r1: Region, r2: Region) -> Region:
 
 def complement(r: Region) -> Region:
     """The cells of ``r``'s own grid that ``r`` misses, merged once."""
-    values, (cells,) = _grid(r.n, (r.boxes,))
-    everything = product(*(range(2 * len(vals) + 1) for vals in values))
+    cuts, (cells,) = _grid(r.n, (r.boxes,))
+    everything = product(*(range(len(cs) + 1) for cs in cuts))
     region = object.__new__(Region)
     region.n = r.n
-    region.boxes = _merged_boxes(values, [cell for cell in everything if cell not in cells])
+    region.boxes = _merged_boxes(cuts, [cell for cell in everything if cell not in cells])
     return region
 
 

@@ -18,7 +18,6 @@ from .boxgeom import Region, order_key, parse_rational, rational
 from .lexalg import (
     AlgebraSignature,
     LexElement,
-    group_add,
     in_unit_interval,
     sum_finite,
 )
@@ -46,11 +45,10 @@ class DiscreteObservable:
         """Sum of the weights of the atoms lying in ``region``."""
         if region.n != self.n:
             raise ObservableError(f"region dimension {region.n}, observable has {self.n}")
-        total = self.signature.zero
-        for atom in self.atoms:
-            if region.contains(atom.point):
-                total = group_add(total, atom.weight)
-        return total
+        sig = self.signature
+        weights = [atom.weight for atom in self.atoms if region.contains(atom.point)]
+        g = tuple(map(sum, zip((0,) * sig.d, *(w.g for w in weights))))
+        return LexElement(sig, sum(w.h for w in weights), g)
 
     def point_mass(self, point: Sequence[Fraction]) -> LexElement:
         """Weight of the atom at ``point``, or zero."""

@@ -28,7 +28,6 @@ from .lexalg import (
     LexElement,
     group_add,
     group_sub,
-    in_unit_interval,
     mv_neg,
     partial_add,
 )
@@ -175,7 +174,7 @@ def random_observable(config: TrialConfig, index: int) -> DiscreteObservable:
         heights.append(rem)
         rng.shuffle(heights)
 
-        weights: list[LexElement] = []
+        weights: list[tuple[int, tuple[int, ...]]] = []
         g_total = [0] * d
         for i, h in enumerate(heights):
             if i + 1 < m:
@@ -184,12 +183,13 @@ def random_observable(config: TrialConfig, index: int) -> DiscreteObservable:
                 g = tuple(-c for c in g_total)
             for c, gc in zip(range(d), g):
                 g_total[c] += gc
-            weights.append(LexElement(sig, h, g))
-        if any(not in_unit_interval(w) for w in weights):
+            weights.append((h, g))
+        # 0 <= h <= k by construction: a weight leaves [0, u] or is zero only at the ends
+        if any(h == 0 and (min(g) < 0 or not any(g)) or h == k and max(g) > 0
+               for h, g in weights):
             continue
-        if any(w == sig.zero for w in weights):
-            continue
-        atoms = [(tuple(Fraction(*c) for c in p), w) for p, w in zip(points, weights)]
+        atoms = [(tuple(Fraction(*c) for c in p), LexElement(sig, h, g))
+                 for p, (h, g) in zip(points, weights)]
         return make_observable(sig, n, atoms)
 
     # exhausted: a single unit atom is always valid
@@ -315,9 +315,10 @@ def _random_grid_region(rng: SplitMix64, F: StepResolution) -> Region:
     coords = [[bs[0] - 1, *bs, bs[-1] + 1] for bs in F.breakpoints]
     boxes = []
     for _ in range(rng.randint(1, 3)):
-        ends = [sorted((rng.choice(axis), rng.choice(axis))) for axis in coords]
+        # index pairs into the sorted coords, drawn as rng.choice draws them
+        ends = [sorted((rng.randint(0, len(c) - 1), rng.randint(0, len(c) - 1))) for c in coords]
         if all(a < b for a, b in ends):  # a degenerate box is empty
-            boxes.append(Box(tuple(closed_open(a, b) for a, b in ends)))
+            boxes.append(Box(tuple(closed_open(c[a], c[b]) for c, (a, b) in zip(coords, ends))))
     return Region(F.n, boxes)
 
 

@@ -6,6 +6,7 @@ by tests/test_spectral.py for the corner-sum references of the grid kernel
 and the neighbour loop of the monotone status,
 by tests/test_spectral.py and tests/test_boxgeom.py for the cell box read off
 the breakpoints,
+by tests/test_boxgeom.py for canonical boxes on the value-piece grid,
 by tests/test_render.py for the sampled ASCII level map,
 by tests/test_verify.py for the chained-union random suite region and the
 ``Fraction``-drawing random observable,
@@ -42,6 +43,7 @@ from lexspec.boxgeom import (
     GeometryError,
     Interval,
     Region,
+    _merged_runs,
     halfopen_box,
     is_finite,
     union,
@@ -201,6 +203,45 @@ def reference_pathological_family(m: int, k: int, style: str) -> dict:
             count = k if min(r, c) >= m else min(r, c)
         table[(r, c)] = (min(k, count), 0)
     return table
+
+
+# Reference canonical boxes on the value-piece grid: the sorted finite ends
+# v_0 < ... < v_{m-1} of an axis split it into 2m + 1 pieces, piece 2r + 1 the
+# point v_r and piece 2r the open gap below it.  Every cut grid that resolves
+# a set gives the same merged boxes, so ``boxgeom`` must match these.
+
+
+def _value_piece_interval(vals, lo: int, hi: int) -> Interval:
+    return Interval(NEG_INF if lo == 0 else vals[(lo - 1) // 2], lo % 2 == 1,
+                    POS_INF if hi == 2 * len(vals) else vals[hi // 2], hi % 2 == 1)
+
+
+def reference_canonical_boxes(n: int, box_lists, keep) -> tuple[Box, ...]:
+    """Canonical boxes of the cells ``keep(everything, *cell_sets)`` picks on
+    the common value-piece grid of ``box_lists``: ``cell_sets`` holds the
+    cells each list covers, ``everything`` every cell of the grid."""
+    values = [sorted({end for boxes in box_lists for b in boxes
+                      for end in (b.dims[j].lo, b.dims[j].hi) if is_finite(end)})
+              for j in range(n)]
+    ranks = [{v: r for r, v in enumerate(vals)} for vals in values]
+    cell_sets = []
+    for boxes in box_lists:
+        cells = set()
+        for b in boxes:
+            ranges = []
+            for vals, rank, iv in zip(values, ranks, b.dims):
+                lo = 0 if iv.lo is NEG_INF else 2 * rank[iv.lo] + (1 if iv.lo_closed else 2)
+                hi = 2 * len(vals) if iv.hi is POS_INF else (
+                    2 * rank[iv.hi] + (1 if iv.hi_closed else 0))
+                ranges.append(range(lo, hi + 1))
+            cells.update(product(*ranges))
+        cell_sets.append(cells)
+    everything = set(product(*(range(2 * len(vals) + 1) for vals in values)))
+    return tuple(
+        Box(tuple(_value_piece_interval(vals, *run[2 * j:2 * j + 2])
+                  for j, vals in enumerate(values)))
+        for run in _merged_runs(n, keep(everything, *cell_sets))
+    )
 
 
 def reference_cell_box(F, idx) -> Box:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from decimal import Decimal
 from fractions import Fraction as Q
 from itertools import product
@@ -53,7 +54,7 @@ from lexspec.spectral import (
 )
 from lexspec.verify import SplitMix64, TrialConfig, _random_grid_region, random_observable
 
-from oracles import reference_cell_box, region_equal
+from oracles import reference_canonical_boxes, reference_cell_box, region_equal
 
 
 def box(*intervals):
@@ -151,22 +152,40 @@ class TestExactGate:
                 build(inexact)
 
 
+def _piece_probe(cuts, i):
+    """A point of piece ``i`` between the sorted ``cuts``, read off the cut
+    sides: a cut (a, 0) lies just below a, a cut (a, 1) just above it."""
+    lower = cuts[i - 1] if i else None
+    upper = cuts[i] if i < len(cuts) else None
+    if lower is not None and lower[1] == 0:
+        return lower[0]
+    if lower is None:
+        return Q(0) if upper is None else upper[0] - 1
+    return lower[0] + 1 if upper is None else (lower[0] + upper[0]) / 2
+
+
 class TestRunInterval:
     """``_run_interval`` skips validation; it must build the validated interval
-    of the run's end pieces, piece 2r + 1 being the point v_r and piece 2r the
-    open gap below it."""
+    of the run's end cuts, ``[v`` or ``v)`` for a cut (v, 0) just below v and
+    ``(v`` or ``v]`` for a cut (v, 1) just above it, covering exactly the
+    pieces of the run."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.fractions(-5, 5, max_denominator=3), max_size=5, unique=True))
-    def test_every_run_matches_the_validated_interval(self, vals):
-        vals = sorted(vals)
-        lower = [(NEG_INF, False)] + [(v, closed) for v in vals for closed in (True, False)]
-        upper = [(v, closed) for v in vals for closed in (False, True)] + [(POS_INF, False)]
-        for lo in range(2 * len(vals) + 1):
-            for hi in range(lo, 2 * len(vals) + 1):
+    @given(st.lists(st.tuples(st.fractions(-5, 5, max_denominator=3),
+                              st.sampled_from([(0,), (1,), (0, 1)])),
+                    max_size=5, unique_by=lambda t: t[0]))
+    def test_every_run_matches_the_validated_interval(self, drawn):
+        cuts = sorted((v, side) for v, sides in drawn for side in sides)
+        lower = [(NEG_INF, False)] + [(v, side == 0) for v, side in cuts]
+        upper = [(v, side == 1) for v, side in cuts] + [(POS_INF, False)]
+        probes = [_piece_probe(cuts, i) for i in range(len(cuts) + 1)]
+        for lo in range(len(cuts) + 1):
+            for hi in range(lo, len(cuts) + 1):
                 want = Interval(*lower[lo], *upper[hi])
-                got = _run_interval(vals, lo, hi)
+                got = _run_interval(cuts, lo, hi)
                 assert got == want and hash(got) == hash(want) and str(got) == str(want)
+                assert [got.contains(p) for p in probes] == [
+                    lo <= i <= hi for i in range(len(probes))]
 
 
 class TestContains:
@@ -326,6 +345,80 @@ class TestRegionSemantics:
         c = complement(r)
         for p in _probe_points(r.n):
             assert r.contains(p) != c.contains(p)
+
+
+def _plain_member(iv, x):
+    """``x`` in ``iv`` by plain comparisons, infinite ends read as float infinities."""
+    lo = -math.inf if iv.lo is NEG_INF else iv.lo
+    hi = math.inf if iv.hi is POS_INF else iv.hi
+    return (lo < x or (lo == x and iv.lo_closed)) and (x < hi or (x == hi and iv.hi_closed))
+
+
+_COORDS = st.one_of(st.sampled_from(_VALUES),
+                    st.fractions(-2, 5, max_denominator=4))
+
+
+class TestContainsPredicate:
+    """Containment tests the sentinels by identity and compares each finite
+    end once; it must agree with the plain predicate, infinite ends included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_interval_and_region_agree_with_plain_comparisons(self, data):
+        n = data.draw(st.integers(1, 3))
+        r = data.draw(regions(n))
+        for _ in range(5):
+            point = tuple(data.draw(_COORDS) for _ in range(n))
+            for b in r.boxes:
+                for iv, x in zip(b.dims, point):
+                    assert iv.contains(x) == _plain_member(iv, x)
+            want = any(all(map(_plain_member, b.dims, point)) for b in r.boxes)
+            assert r.contains(point) == want
+
+    @pytest.mark.parametrize("point", [(Q(0),), (Q(0), Q(0), Q(0))])
+    @pytest.mark.parametrize("boxes", [0, 1, 2])
+    def test_wrong_dimension_point_is_refused(self, boxes, point):
+        r = Region(2, [box(closed_open(i, i + 1), closed_open(0, 1))
+                       for i in range(0, 2 * boxes, 2)])
+        assert len(r.boxes) == boxes
+        with pytest.raises(GeometryError, match="coordinates"):
+            r.contains(point)
+
+
+def box_lists(n):
+    """One to four boxes of ``grid_intervals``, before any canonicalization."""
+    return st.lists(st.lists(grid_intervals(), min_size=n, max_size=n).map(
+        lambda ivs: Box(tuple(ivs))), max_size=4)
+
+
+class TestCutGridOracle:
+    """The cut grid against the value-piece grid (2c + 1 pieces per axis for c
+    distinct ends) it replaced: every operation gives identical boxes and text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), box_lists(n), box_lists(n))))
+    def test_matches_the_value_piece_grid(self, case):
+        n, raw_a, raw_b = case
+        a, b = Region(n, raw_a), Region(n, raw_b)
+        for got, box_lists_, keep in [
+            (Region(n, raw_a + raw_b), (raw_a + raw_b,), lambda _, c: c),
+            (union(a, b), (a.boxes, b.boxes), lambda _, c1, c2: c1 | c2),
+            (intersect(a, b), (a.boxes, b.boxes), lambda _, c1, c2: c1 & c2),
+            (difference(a, b), (a.boxes, b.boxes), lambda _, c1, c2: c1 - c2),
+            (complement(a), (a.boxes,), lambda everything, c: everything - c),
+        ]:
+            want = reference_canonical_boxes(n, box_lists_, keep)
+            assert got.boxes == want
+            assert format_region(got) == (" u ".join(map(str, want)) or "empty")
+
+    def test_one_cut_per_distinct_end(self):
+        """Half-open boxes cut each axis once per distinct end: the union of
+        [0,2)^2 and [1,3)^2 enumerates 5^2 cells, not the 9^2 of value pieces."""
+        a, b = halfopen_box((0, 0), (2, 2)), halfopen_box((1, 1), (3, 3))
+        cuts, (cells_a, cells_b) = _grid(2, (a.boxes, b.boxes))
+        assert cuts == [[(Q(0), 0), (Q(1), 0), (Q(2), 0), (Q(3), 0)]] * 2
+        assert cells_a == set(product((1, 2), repeat=2)) and len(cells_a | cells_b) == 7
+        assert str(union(a, b)) == "[0,1)x[0,2) u [1,2)x[0,3) u [2,3)x[1,3)"
 
 
 def _canonical(n, boxes):
