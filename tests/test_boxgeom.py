@@ -354,8 +354,7 @@ def _plain_member(iv, x):
     return (lo < x or (lo == x and iv.lo_closed)) and (x < hi or (x == hi and iv.hi_closed))
 
 
-_COORDS = st.one_of(st.sampled_from(_VALUES),
-                    st.fractions(-2, 5, max_denominator=4))
+_COORDS = st.one_of(st.sampled_from(_VALUES), st.fractions(-2, 5, max_denominator=4))
 
 
 class TestContainsPredicate:
@@ -386,7 +385,7 @@ class TestContainsPredicate:
 
 
 def box_lists(n):
-    """One to four boxes of ``grid_intervals``, before any canonicalization."""
+    """Up to four boxes of ``grid_intervals``, before any canonicalization."""
     return st.lists(st.lists(grid_intervals(), min_size=n, max_size=n).map(
         lambda ivs: Box(tuple(ivs))), max_size=4)
 
@@ -417,14 +416,15 @@ class TestCutGridOracle:
         a, b = halfopen_box((0, 0), (2, 2)), halfopen_box((1, 1), (3, 3))
         cuts, (cells_a, cells_b) = _grid(2, (a.boxes, b.boxes))
         assert cuts == [[(Q(0), 0), (Q(1), 0), (Q(2), 0), (Q(3), 0)]] * 2
+        assert math.prod(len(cs) + 1 for cs in cuts) == 25
         assert cells_a == set(product((1, 2), repeat=2)) and len(cells_a | cells_b) == 7
         assert str(union(a, b)) == "[0,1)x[0,2) u [1,2)x[0,3) u [2,3)x[1,3)"
 
 
 def _canonical(n, boxes):
     """The canonical boxes of ``boxes`` by the cell merge itself, with no shortcut."""
-    values, (cells,) = _grid(n, (tuple(boxes),))
-    return _merged_boxes(values, cells)
+    cuts, (cells,) = _grid(n, (tuple(boxes),))
+    return _merged_boxes(cuts, cells)
 
 
 def lone_boxes():
