@@ -14,9 +14,9 @@ block text (JSON and CLI) is printed from merged cell runs by
 
 Merged cell runs are canonical: a set's text is the same on every grid that
 refines it.  So level texts and every block pass are read off
-:func:`spectral.height_grid` (at most k breakpoints per axis, k + 2 in the
-plane, every level set and block infimum kept), and block records index
-that grid; ``reconstruct`` compares masses on ``F``.
+:func:`spectral.height_grid` (at most k + 2 breakpoints per axis, every level
+set and block infimum kept), and block records index that grid;
+``reconstruct`` compares masses on ``F``.
 """
 
 from __future__ import annotations

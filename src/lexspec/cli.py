@@ -226,7 +226,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         trials=args.trials,
         k_range=(1, 6 if args.k is None else args.k),
-        n_range=(args.n, args.n),
     )
     summary = run_suite(config)
     if args.json:
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_at_least(0), default=100)
     p.add_argument("--k", type=_at_least(1, MAX_K), default=None,
                    help="largest unit height to draw")
-    p.add_argument("--n", type=_at_least(1, 3), default=2, help="dimension to draw")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw the 2-D level map")

@@ -8,8 +8,8 @@ coordinate is read by cell index from a per-axis list, and a block's SVG
 rectangles are its merged cell runs, with no region built.  Nothing is
 clipped, because nothing can leave the box: every region end is a breakpoint
 or an infinity (drawn at the padded edge), and every finite characteristic
-point is a vector of breakpoints.  In the plane that grid keeps each axis's
-extremes and every level set, so identical input yields byte-identical output.
+point is a vector of breakpoints.  That grid keeps each axis's extremes and
+every level set, so identical input yields byte-identical output.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ integer tuples ``(h, g_1, ..., g_d)``; ``LexElement`` objects are built only
 for what is returned (``eval_F``, volumes, witnesses, and ``F.values``).
 
 Levels and blocks depend only on the at most k positive-height masses, so
-:func:`height_grid` keeps only their breakpoints (and, in the plane, each
-axis's extremes for the render frame).
+:func:`height_grid` keeps only their breakpoints (and each axis's extremes).
 Every level and block analysis in :mod:`charpoints` is read off it.  Only a
 table built from masses is capped, at ``MAX_DENSE_CELLS`` cells, when built.
 """
@@ -237,35 +236,28 @@ def from_observable(x: DiscreteObservable) -> StepResolution:
 
 
 def height_grid(F: StepResolution) -> StepResolution:
-    """``F`` on the breakpoints of its positive-height masses, plus each
-    axis's first and last in the plane, when ``F`` holds its masses, all >= 0
-    and none on the border (index 0 on some axis); else, when no mass has
-    positive height or nothing is dropped, ``F``.
+    """``F`` on the breakpoints of its positive-height masses plus each axis's
+    first and last, when ``F`` holds its masses, all >= 0 and none on the
+    border (index 0 on some axis); else, or when nothing is dropped, ``F``.
 
     Each height-0 mass moves up to the next kept breakpoint on every axis, and
-    masses landing on one cell are summed; one above every kept breakpoint of
-    some axis is below no characteristic point and is dropped.  That keeps
-    every level set, the sum of the masses at or below a kept point (a block's
-    infimum) and, in the plane, the render frame.  Its table, at most
-    (k + 1)^n cells ((k + 3)^2 in the plane), is capped like any.  Only
-    :mod:`charpoints` calls it.  It derives no masses: a table-built ``F``
-    keeps its own grid in ``render`` and ``reconstruct``, which check no
-    axioms, as deriving them there slowed those commands 7-11%.
+    masses landing on one cell are summed.  That keeps every level set, the
+    sum of the masses at or below a kept point (a block's infimum) and the
+    render frame.  Its table, at most (k + 3)^n cells, is capped like any.
+    Only :mod:`charpoints` calls it.  It derives no masses: a table-built
+    ``F`` keeps its own grid in ``render`` and ``reconstruct``, which check
+    no axioms, as deriving them there slowed those commands 7-11%.
     """
     masses = F._masses
     if masses is None or not all(_nonneg(t) and 0 not in idx for idx, t in masses.items()):
         return F
     tall = [idx for idx, t in masses.items() if t[0]]
-    frame = F.n == 2  # only the plane is rendered, framed by each axis's extremes
-    kept = [sorted({*(idx[j] for idx in tall), *((1, m) if frame else ())})
-            for j, m in enumerate(F.shape)]
-    if not tall or all(len(ks) == m for ks, m in zip(kept, F.shape)):
+    kept = [sorted({1, m, *(idx[j] for idx in tall)}) for j, m in enumerate(F.shape)]
+    if all(len(ks) == m for ks, m in zip(kept, F.shape)):
         return F
     moved: dict[CellIndex, Flat] = {}
     for idx, t in masses.items():
         cell = tuple(bisect_left(ks, r) + 1 for ks, r in zip(kept, idx))
-        if any(c > len(ks) for c, ks in zip(cell, kept)):
-            continue  # height 0, above every kept breakpoint of some axis
         moved[cell] = tuple(map(add, moved[cell], t)) if cell in moved else t
     breaks = [[bs[r - 1] for r in ks] for bs, ks in zip(F.breakpoints, kept)]
     return StepResolution(F.signature, F.n, breaks, masses=moved)

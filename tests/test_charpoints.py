@@ -735,7 +735,7 @@ class TestHeightGrid:
         assert all_blocks(table).breakpoints == height_grid(table).breakpoints == G.breakpoints
 
     def test_returns_F_itself(self):
-        sig = AlgebraSignature(3, 1)
+        sig = AlgebraSignature(2, 1)
         bps = [[Q(0), Q(1), Q(2)]]
 
         def res(masses):
@@ -745,35 +745,9 @@ class TestHeightGrid:
         assert height_grid(res(shrinks)).shape == (2,)
         negative = {1: (1, 2), 2: (0, -1), 3: (1, -1)}
         border = {0: (0, 1), **shrinks, 3: (1, -2)}
-        tall = {1: (1, 1), 2: (1, 0), 3: (1, -1)}  # every breakpoint is kept
-        flat = {1: (0, 1), 2: (0, 2)}  # no positive height: no level to keep
-        for masses in (negative, border, tall, flat):
+        tall = {1: (0, 1), 2: (2, -1)}  # every breakpoint is kept
+        for masses in (negative, border, tall):
             F = res(masses)
             assert height_grid(F) is F
         table_only = resolution_from_doc(resolution_to_doc(res(shrinks)))
         assert height_grid(table_only) is table_only
-
-    def test_drops_extremes_off_the_plane(self):
-        """Off the plane no render reads the extremes: the grid keeps only the
-        positive-height breakpoints, and a height-0 mass above the last one
-        is dropped."""
-        sig = AlgebraSignature(2, 1)
-        F = StepResolution(sig, 1, [[Q(0), Q(1), Q(2)]],
-                           masses={(1,): (0, 1), (2,): (2, -2), (3,): (0, 1)})
-        G = height_grid(F)
-        assert [list(bs) for bs in G.breakpoints] == [[Q(1)]]
-        assert G.masses == {(1,): (2, -1)}
-        assert _analyses(F) == _dense_analyses(F)
-
-    def test_keeps_extremes_only_in_the_plane(self):
-        sig = AlgebraSignature(1, 1)
-        weights = [LexElement(sig, 0, (1,)), LexElement(sig, 1, (-2,)), LexElement(sig, 0, (1,))]
-        for n in (1, 2, 3):
-            atoms = [((i,) * n, w) for i, w in enumerate(weights)]
-            F = from_observable(make_observable(sig, n, atoms))
-            G = height_grid(F)
-            if n == 2:
-                assert G is F
-            else:
-                assert [list(bs) for bs in G.breakpoints] == [[Q(1)]] * n
-            assert _analyses(F) == _dense_analyses(F)

@@ -18,7 +18,7 @@ from lexspec.cli import build_parser, main
 from lexspec.gallery import build_observable
 from lexspec.observable import MAX_DIGITS, MAX_K, observable_from_doc, observable_to_json
 from lexspec.spectral import MAX_DENSE_CELLS, from_observable, resolution_to_json
-from lexspec.verify import TrialConfig, mismatch_resolution, pathological_family, run_suite
+from lexspec.verify import mismatch_resolution, pathological_family
 
 from oracles import closed_join_char_points
 
@@ -189,22 +189,6 @@ class TestVerify:
         assert main(["verify", "--seed", "4", "--trials", "5", "--json"]) == 0
         assert capsys.readouterr().out == first
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_dimension(self, n, capsys):
-        assert main(["verify", "--seed", "3", "--trials", "8", "--n", str(n), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        want = run_suite(TrialConfig(seed=3, trials=8, n_range=(n, n)))
-        assert doc == want.to_doc() and doc["checks"]["rays"]["runs"] == 8
-        if n == 2:  # the default dimension
-            assert main(["verify", "--seed", "3", "--trials", "8", "--json"]) == 0
-            assert json.loads(capsys.readouterr().out) == doc
-
-    @pytest.mark.parametrize("n, message", [("4", "must be <= 3, got 4"),
-                                            ("0", "must be >= 1, got 0")])
-    def test_dimension_out_of_range(self, n, message, capsys):
-        assert _exit_code(["verify", "--trials", "1", "--n", n]) == 2
-        assert message in capsys.readouterr().err
-
 
 class TestRender:
     def test_ascii(self, ex1, capsys):
@@ -331,12 +315,8 @@ class TestParserReuse:
             # --k 3, not 2: patho/M defaults to k = 2, which would hide a leaked value
             (["example", "patho/4", "--k", "3"], 0, ["example", "patho/4"]),
             (["verify", "--trials", "-1"], 2, ["verify", "--trials", "2", "--json"]),
-            (
-                ["verify", "--trials", "2", "--n", "3", "--json"], 0,
-                ["verify", "--trials", "2", "--json"],
-            ),
         ],
-        ids=["verify-k", "example-k", "usage-error", "verify-n"],
+        ids=["verify-k", "example-k", "usage-error"],
     )
     def test_later_call_matches_a_fresh_process(self, first, first_rc, then, capsys):
         assert build_parser() is build_parser()
