@@ -1,6 +1,6 @@
 """Deterministic 2-D level maps: ASCII on a fixed 60x24 grid, and SVG 1.1.
 
-Both renderers draw the bounding box of the finite breakpoints padded by one
+Both renderers draw the bounding box of the input's breakpoints padded by one
 unit, fill each level set distinctly, draw block boundaries, and mark
 characteristic points (with coordinates, in the SVG).  They read the grid
 the blocks index directly: an ASCII column or row is a cell index, an SVG
@@ -8,8 +8,8 @@ coordinate is read by cell index from a per-axis list, and a block's SVG
 rectangles are its merged cell runs, with no region built.  Nothing is
 clipped, because nothing can leave the box: every region end is a breakpoint
 or an infinity (drawn at the padded edge), and every finite characteristic
-point is a vector of breakpoints.  That grid keeps each axis's extremes and
-every level set, so identical input yields byte-identical output.
+point is a vector of breakpoints.  That grid keeps every level set, and the
+box is the input's own, so identical input yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,13 +36,13 @@ def _frame(
     F: StepResolution,
 ) -> tuple[StepResolution, list[Block], list[tuple[int, ...]], tuple[Fraction, ...]]:
     """The grid that the blocks of ``F`` index, those blocks, the run starts of
-    the finite characteristic points in sorted order, and the padded box."""
+    the finite characteristic points in order, and ``F``'s own padded box."""
     if F.n != 2:
         raise RenderError("rendering needs a two-dimensional resolution")
-    F, found = _blocks(F)
-    starts = sorted({b.starts for b in found if 0 not in b.starts})
     xs, ys = F.breakpoints
     bbox = (xs[0] - 1, xs[-1] + 1, ys[0] - 1, ys[-1] + 1)
+    F, found = _blocks(F)
+    starts = sorted({b.starts for b in found if 0 not in b.starts})
     return F, found, starts, bbox
 
 

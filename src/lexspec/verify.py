@@ -310,24 +310,24 @@ class SuiteSummary:
         }
 
 
-def _random_grid_region(rng: SplitMix64, F: StepResolution) -> Region:
-    """Union of one to three grid-aligned half-open boxes."""
-    coords = [[bs[0] - 1, *bs, bs[-1] + 1] for bs in F.breakpoints]
+def _random_grid_region(rng: SplitMix64, coords: list[list[Fraction]]) -> Region:
+    """Union of one to three half-open boxes with ends in the axis lists ``coords``."""
     boxes = []
     for _ in range(rng.randint(1, 3)):
         # index pairs into the sorted coords, drawn as rng.choice draws them
         ends = [sorted((rng.randint(0, len(c) - 1), rng.randint(0, len(c) - 1))) for c in coords]
         if all(a < b for a, b in ends):  # a degenerate box is empty
             boxes.append(Box(tuple(closed_open(c[a], c[b]) for c, (a, b) in zip(coords, ends))))
-    return Region(F.n, boxes)
+    return Region(len(coords), boxes)
 
 
 def _observable_laws_hold(
     rng: SplitMix64, x: DiscreteObservable, F: StepResolution
 ) -> bool:
+    coords = [[bs[0] - 1, *bs, bs[-1] + 1] for bs in F.breakpoints]
     for _ in range(3):
-        a = _random_grid_region(rng, F)
-        b = _random_grid_region(rng, F)
+        a = _random_grid_region(rng, coords)
+        b = _random_grid_region(rng, coords)
         va, vb = x.eval(a), x.eval(b)
         # complement law
         if x.eval(complement(a)) != mv_neg(va):

@@ -487,9 +487,10 @@ class TestComplementOracle:
             cfg = TrialConfig(seed=20 + n, trials=0, n_range=(n, n))
             for i in range(30):
                 F = from_observable(random_observable(cfg, i))
+                coords = [[bs[0] - 1, *bs, bs[-1] + 1] for bs in F.breakpoints]
                 rng = SplitMix64(i)
                 for _ in range(5):
-                    r = _random_grid_region(rng, F)
+                    r = _random_grid_region(rng, coords)
                     got = complement(r)
                     want = difference(Region.full(n), r)
                     assert got == want and str(got) == str(want)

@@ -719,7 +719,7 @@ class TestHeightGrid:
         table.masses  # held masses make a table-built resolution eligible
         for source in (F, table):
             G = height_grid(source)
-            assert all(len(bs) <= x.signature.k + 2 for bs in G.breakpoints)
+            assert all(len(bs) <= x.signature.k for bs in G.breakpoints)
             assert _analyses(source) == _dense_analyses(source)
         assert set(all_blocks(F).char_points()) == closed_join_char_points(x)
 
@@ -729,10 +729,27 @@ class TestHeightGrid:
                  for i, (h, g) in enumerate([(0, 2), (1, -1), (0, 1), (1, -2)])]
         F = from_observable(make_observable(sig, 2, atoms))
         G = height_grid(F)
-        assert G.shape == (3, 3) and F.shape == (4, 4)
+        assert G.shape == (2, 2) and F.shape == (4, 4)
+        # (0, 3) lies above every positive-height y and is dropped; (2, 1) moves to (3, 2)
+        assert G.breakpoints == ((Q(1), Q(3)), (Q(0), Q(2)))
+        assert G.masses == {(1, 2): (1, -1), (2, 1): (1, -2), (2, 2): (0, 1)}
         assert _analyses(F) == _dense_analyses(F)
         table = resolution_from_doc(resolution_to_doc(F))  # masses not yet derived
         assert all_blocks(table).breakpoints == height_grid(table).breakpoints == G.breakpoints
+
+    def test_render_frame_is_the_input_box(self):
+        """The first and last breakpoint of each axis carry only height-0
+        atoms, so the height grid lacks them; both renders still draw the
+        input's padded box, as on the dense grid."""
+        sig = AlgebraSignature(2, 1)
+        atoms = [((0, 0), (0, 1)), ((1, 2), (1, -1)), ((3, 1), (1, -1)), ((5, 5), (0, 1))]
+        F = from_observable(make_observable(
+            sig, 2, [(p, LexElement(sig, h, (g,))) for p, (h, g) in atoms]))
+        assert height_grid(F).breakpoints == ((Q(1), Q(3)), (Q(1), Q(2)))
+        with patch.object(charpoints, "height_grid", lambda F: F):
+            dense = render_svg(F), render_ascii(F)
+        assert (render_svg(F), render_ascii(F)) == dense
+        assert "x: [-1, 6]   y: [-1, 6]" in dense[1]
 
     def test_returns_F_itself(self):
         sig = AlgebraSignature(2, 1)
@@ -745,9 +762,12 @@ class TestHeightGrid:
         assert height_grid(res(shrinks)).shape == (2,)
         negative = {1: (1, 2), 2: (0, -1), 3: (1, -1)}
         border = {0: (0, 1), **shrinks, 3: (1, -2)}
-        tall = {1: (0, 1), 2: (2, -1)}  # every breakpoint is kept
-        for masses in (negative, border, tall):
+        flat = {1: (0, 1), 3: (0, 2)}  # no positive height
+        for masses in (negative, border, flat):
             F = res(masses)
             assert height_grid(F) is F
+        # every breakpoint holds a positive-height mass, so every one is kept
+        tall = StepResolution(sig, 1, [[Q(0), Q(2)]], masses={(1,): (1, 1), (2,): (1, -1)})
+        assert height_grid(tall) is tall
         table_only = resolution_from_doc(resolution_to_doc(res(shrinks)))
         assert height_grid(table_only) is table_only

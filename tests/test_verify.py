@@ -363,9 +363,10 @@ class TestRandomGridRegion:
             cfg = TrialConfig(seed=n, trials=0, n_range=(n, n))
             for i in range(40):
                 F = from_observable(random_observable(cfg, i))
+                coords = [[bs[0] - 1, *bs, bs[-1] + 1] for bs in F.breakpoints]
                 for seed in range(5):
                     got_rng, want_rng = SplitMix64(seed), SplitMix64(seed)
-                    got = _random_grid_region(got_rng, F)
+                    got = _random_grid_region(got_rng, coords)
                     assert got == reference_random_grid_region(want_rng, F)
                     assert got_rng.next_u64() == want_rng.next_u64()
                     empty += got.is_empty()
