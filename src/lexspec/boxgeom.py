@@ -13,7 +13,10 @@ compare ints and reach a ``Fraction`` comparison only between two values in
 one unit interval.  Coordinate lists are sorted that way here and in
 ``observable`` and ``spectral``, and ranked through maps keyed by
 ``v.as_integer_ratio()``, which equal values share, not by hashing a
-``Fraction``; only a point query that may fall between breakpoints bisects.
+``Fraction``.  A point query that may fall between breakpoints bisects a
+list of their order keys (``spectral`` keeps one per axis), and containment
+compares a point with interval ends on integer pairs: p/q lies above a/b
+iff p * b > a * q, for positive denominators.
 
 Canonical form: each finite interval end cuts its axis just below or just
 above its value, and the cuts of each axis are ranked once, keyed by the
@@ -129,13 +132,24 @@ class Interval:
             raise GeometryError(f"empty interval: {self}")
 
     def contains(self, x: Fraction) -> bool:
-        lo, hi = self.lo, self.hi
-        if lo is not NEG_INF and (x < lo if self.lo_closed else x <= lo):
-            return False
-        return hi is POS_INF or (x <= hi if self.hi_closed else x < hi)
+        return _holds(self, *rational(x).as_integer_ratio())
 
     def __str__(self) -> str:
         return format_interval(self)
+
+
+def _holds(iv: Interval, p: int, q: int) -> bool:
+    """Whether ``iv`` contains p/q (q > 0), on integer cross-products: an end
+    a/b (b > 0) lies below p/q iff a * q < p * b."""
+    lo, hi = iv.lo, iv.hi
+    if lo is not NEG_INF:
+        a, b = lo.numerator * q, p * lo.denominator
+        if a > b or (a == b and not iv.lo_closed):
+            return False
+    if hi is POS_INF:
+        return True
+    a, b = p * hi.denominator, hi.numerator * q
+    return a < b or (a == b and iv.hi_closed)
 
 
 def closed_open(lo, hi) -> Interval:
@@ -242,17 +256,22 @@ _set_lo, _set_lo_closed = Interval.lo.__set__, Interval.lo_closed.__set__
 _set_hi, _set_hi_closed = Interval.hi.__set__, Interval.hi_closed.__set__
 
 
+def _valid_interval(lo: ExtRat, lo_closed: bool, hi: ExtRat, hi_closed: bool) -> Interval:
+    """An interval whose ends the caller has checked, without ``__post_init__``."""
+    iv = object.__new__(Interval)
+    _set_lo(iv, lo)
+    _set_lo_closed(iv, lo_closed)
+    _set_hi(iv, hi)
+    _set_hi_closed(iv, hi_closed)
+    return iv
+
+
 def _run_interval(cuts: Sequence[Cut], lo: int, hi: int) -> Interval:
     """The interval covered by the nonempty run of pieces ``lo`` .. ``hi``
-    between ``cuts``, built without ``Interval.__post_init__``."""
-    iv = object.__new__(Interval)
-    v, side = cuts[lo - 1] if lo else (NEG_INF, 1)  # infinite ends are open
-    _set_lo(iv, v)
-    _set_lo_closed(iv, side == 0)
-    v, side = cuts[hi] if hi < len(cuts) else (POS_INF, 0)
-    _set_hi(iv, v)
-    _set_hi_closed(iv, side == 1)
-    return iv
+    between ``cuts``, valid by construction."""
+    lo_end, lo_side = cuts[lo - 1] if lo else (NEG_INF, 1)  # infinite ends are open
+    hi_end, hi_side = cuts[hi] if hi < len(cuts) else (POS_INF, 0)
+    return _valid_interval(lo_end, lo_side == 0, hi_end, hi_side == 1)
 
 
 def _merged_runs(n: int, cells: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -325,9 +344,11 @@ class Region:
         return not self.boxes
 
     def contains(self, point: Sequence[Fraction]) -> bool:
+        """Membership, each coordinate gated once and tested as an integer pair."""
         if len(point) != self.n:
             raise GeometryError(f"point has {len(point)} coordinates, region has {self.n}")
-        return any(all(map(Interval.contains, b.dims, point)) for b in self.boxes)
+        ps, qs = zip(*(rational(x).as_integer_ratio() for x in point))
+        return any(all(map(_holds, b.dims, ps, qs)) for b in self.boxes)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -411,18 +432,22 @@ def lower_orthant(point: Sequence) -> Region:
 
 
 def halfopen_box(a: Sequence, b: Sequence) -> Region:
-    """The half-open box prod_j [a_j, b_j); degenerate axes give the empty region."""
+    """The half-open box prod_j [a_j, b_j); degenerate axes give the empty region.
+    Every axis's corners are compared, on integer pairs, before either result."""
     if len(a) != len(b):
         raise GeometryError("corner dimension mismatch")
     a = [rational(x) for x in a]
     b = [rational(x) for x in b]
+    degenerate = False
     for x, y in zip(a, b):
-        if x > y:
+        (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
+        if p * s > r * q:
             raise GeometryError(f"lower corner exceeds upper corner: {x} > {y}")
+        degenerate = degenerate or p * s == r * q
     n = len(a)
-    if any(x == y for x, y in zip(a, b)):
+    if degenerate:
         return Region.empty(n)
-    return Region(n, (Box(tuple(closed_open(x, y) for x, y in zip(a, b))),))
+    return Region(n, (Box(tuple(_valid_interval(x, True, y, False) for x, y in zip(a, b))),))
 
 
 # --- textual form -----------------------------------------------------------

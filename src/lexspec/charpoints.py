@@ -314,6 +314,14 @@ def reconstruct(F: StepResolution) -> DiscreteObservable | MismatchReport:
     cell.  Infima that do not sum to the unit raise
     :class:`NotReconstructibleError`.  Adjoined blocks have every run start
     >= 1, so their characteristic points are finite.
+
+    Exact domain: ``reconstruct(from_observable(x)) == x`` holds iff every
+    atom of ``x`` has positive height and no atom point lies at or below
+    another componentwise (an antichain).  An antichain atom's block is
+    adjoined with its weight as infimum, and a join of two or more atoms is
+    not adjoined; a height-0 atom, or an atom above another, is placed at no
+    adjoined block with its own weight.  So an observable with, say, two
+    atoms on one line is refused although its resolution passes every axiom.
     """
     return _reconstruct(F, _blocks(F)[1])
 

@@ -13,7 +13,12 @@ sparse map ``F.masses`` of nonzero masses (from an observable), and derives the
 other on first read with one :func:`_sweep`, which reads the grid as one list
 in cell order and each axis line as one strided slice of it.  Both hold flat
 integer tuples ``(h, g_1, ..., g_d)``; ``LexElement`` objects are built only
-for what is returned (``eval_F``, volumes, witnesses, and ``F.values``).
+for what is returned (``eval_F``, volumes, witnesses, and ``F.values``): an
+additive extension sums its boxes' flat corner sums and builds one.
+
+A point query (``eval_F``, corner sums, point masses) bisects one list of
+:func:`boxgeom.order_key` keys per axis, derived with the resolution: it
+compares ints, and ``Fraction`` values only within one unit interval.
 
 Levels and blocks depend only on the at most k positive-height masses, so
 :func:`height_grid` keeps only their breakpoints.
@@ -35,12 +40,7 @@ from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .boxgeom import RatPoint, cell_ends, cell_region_text, order_key, rational
-from .lexalg import (
-    AlgebraError,
-    AlgebraSignature,
-    LexElement,
-    group_add,
-)
+from .lexalg import AlgebraError, AlgebraSignature, LexElement
 from .observable import (
     DiscreteObservable,
     ObservableError,
@@ -66,10 +66,12 @@ class StepResolution:
     """A total map from grid cells to algebra elements: every cell's value in
     ``table`` and the nonzero masses in ``masses``, as flat tuples.  One of
     the two is passed in, the other derived on first read.  ``values`` builds
-    a new ``{index: LexElement}`` dict on each access.  Build with
-    :func:`from_cells` or :func:`from_observable`."""
+    a new ``{index: LexElement}`` dict on each access.  One list of
+    :func:`boxgeom.order_key` keys per axis, derived when the resolution is
+    built, is what every point query bisects.  Build with :func:`from_cells`
+    or :func:`from_observable`."""
 
-    __slots__ = ("signature", "n", "breakpoints", "_table", "_masses")
+    __slots__ = ("signature", "n", "breakpoints", "_table", "_masses", "_keys")
 
     def __init__(
         self,
@@ -84,6 +86,7 @@ class StepResolution:
         self.breakpoints = tuple(tuple(map(rational, axis)) for axis in breakpoints)
         self._table = None if table is None else dict(table)
         self._masses = None if masses is None else dict(masses)
+        self._keys = [list(map(order_key, bs)) for bs in self.breakpoints]
 
     @property
     def table(self) -> dict[CellIndex, Flat]:
@@ -119,9 +122,12 @@ class StepResolution:
     def cell_of_point(self, point: Sequence[Fraction]) -> CellIndex:
         if len(point) != self.n:
             raise ResolutionError(f"point dimension {len(point)}, grid has {self.n}")
-        return tuple(
-            bisect_left(self.breakpoints[j], rational(point[j])) for j in range(self.n)
-        )
+        return tuple(map(self._axis_cell, range(self.n), point))
+
+    def _axis_cell(self, j: int, c) -> int:
+        """Index of the axis-``j`` cell holding coordinate ``c``: the count of
+        breakpoints below it, bisected in the axis's order keys."""
+        return bisect_left(self._keys[j], order_key(rational(c)))
 
     def cell_rep(self, idx: CellIndex) -> RatPoint:
         """Deterministic representative point: the closed right end of each axis
@@ -173,10 +179,10 @@ def _checked_table(
     if len(breakpoints) != n:
         raise ResolutionError(f"{len(breakpoints)} breakpoint axes for dimension {n}")
     F = StepResolution(signature, n, breakpoints, table=table)
-    for j, bs in enumerate(F.breakpoints):
-        if not bs:
+    for j, keys in enumerate(F._keys):
+        if not keys:
             raise ResolutionError(f"axis {j} needs at least one breakpoint")
-        if any(a >= b for a, b in pairwise(map(order_key, bs))):
+        if any(a >= b for a, b in pairwise(keys)):
             raise ResolutionError(f"axis {j} breakpoints must be strictly increasing")
     # Distinct in-shape keys, as many as the grid has cells, are the whole
     # grid; the grid itself is never built, as it may be far larger than the map.
@@ -355,9 +361,14 @@ def volume(F: StepResolution, bounds: Sequence[tuple[Fraction, Fraction]]) -> Le
     Computed in the group: for resolutions that fail the volume condition the
     result may lie outside ``[0, u]``.
     """
+    return _element(F.signature, _box_sum(F, bounds))
+
+
+def _box_sum(F: StepResolution, bounds: Sequence[tuple[Fraction, Fraction]]) -> Flat:
+    """:func:`volume` as a flat tuple."""
     if len(bounds) != F.n:
         raise ResolutionError(f"{len(bounds)} bounds for dimension {F.n}")
-    return _corner_sum(F, dict(enumerate(bounds)), [a for a, _ in bounds])
+    return _corner_sum(F, dict(enumerate(bounds)), ())
 
 
 def partial_delta(
@@ -379,34 +390,36 @@ def partial_delta(
         )
     if any(a < 0 or a >= F.n for a in axes):
         raise ResolutionError(f"axis out of range in {axes}")
-    return _corner_sum(F, deltas, point)
+    return _element(F.signature, _corner_sum(F, deltas, point))
 
 
 def _corner_sum(
     F: StepResolution,
     deltas: Mapping[int, tuple[Fraction, Fraction]],
     point: Sequence[Fraction],
-) -> LexElement:
+) -> Flat:
     """Sum of F over the corners of the bounds ``deltas`` (axis -> (a, b)), the
-    other coordinates at ``point``; a corner has sign (-1)^(number of a's).
+    other coordinates at ``point`` (unread when ``deltas`` has every axis); a
+    corner has sign (-1)^(number of a's).
 
-    Every corner lies in a grid cell, so the sum runs over ``F.table`` and one
-    element is built at the end.
+    Every corner lies in a grid cell, so the sum runs over ``F.table`` as a
+    flat tuple; the bounds are compared on integer pairs.
     """
     ends = []
     for j, (a, b) in deltas.items():
         a, b = rational(a), rational(b)
-        if a > b:
+        if a.numerator * b.denominator > b.numerator * a.denominator:
             raise ResolutionError(f"lower bound exceeds upper bound: {a} > {b}")
-        ends.append((j, bisect_left(F.breakpoints[j], a), bisect_left(F.breakpoints[j], b)))
+        ends.append((j, F._axis_cell(j, a), F._axis_cell(j, b)))
     cell = [0] * F.n if len(ends) == F.n else list(F.cell_of_point(point))
+    table = F.table
     total: Flat = (0,) * (F.signature.d + 1)
     for eps in product((0, 1), repeat=len(ends)):
         for (j, lo, hi), e in zip(ends, eps):
             cell[j] = hi if e else lo
         op = sub if (len(ends) - sum(eps)) % 2 else add
-        total = tuple(map(op, total, F.table[tuple(cell)]))
-    return _element(F.signature, total)
+        total = tuple(map(op, total, table[tuple(cell)]))
+    return total
 
 
 def point_mass_via_deltas(F: StepResolution, point: Sequence[Fraction]) -> LexElement:
@@ -422,7 +435,7 @@ def point_mass_via_deltas(F: StepResolution, point: Sequence[Fraction]) -> LexEl
     bounds = []
     for j, c in enumerate(p):
         breaks = F.breakpoints[j]
-        pos = bisect_left(breaks, c)
+        pos = F._axis_cell(j, c)
         if pos < len(breaks) and breaks[pos] == c:
             pos += 1
         delta = (breaks[pos] - c) / 2 if pos < len(breaks) else Fraction(1)
@@ -436,12 +449,13 @@ def additive_extension(
     """Sum of box volumes: the finitely additive extension to box unions.
 
     Callers supply pairwise disjoint half-open boxes; additivity of the corner
-    sum makes the result independent of the chosen decomposition.
+    sum makes the result independent of the chosen decomposition.  The flat
+    box sums are added up and one element is built at the end.
     """
-    total = F.signature.zero
+    total: Flat = (0,) * (F.signature.d + 1)
     for bounds in boxes:
-        total = group_add(total, volume(F, bounds))
-    return total
+        total = tuple(map(add, total, _box_sum(F, bounds)))
+    return _element(F.signature, total)
 
 
 # --- axiom checking ----------------------------------------------------------

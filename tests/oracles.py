@@ -315,8 +315,16 @@ def oracle_difference_statuses(F) -> dict[str, tuple[bool, dict | None]]:
     return out
 
 
-# Reference corner sums: one ``eval_F`` per corner, summed with ``group_add``
-# and ``group_sub`` on elements, independent of the flat table arithmetic.
+# Reference corner sums: one table read per corner, at the cell found by a
+# plain ``bisect_left`` in ``Fraction`` order, summed with ``group_add`` and
+# ``group_sub`` on elements, independent of the order-key lookup and the flat
+# table arithmetic.
+
+
+def _table_value(F, point) -> LexElement:
+    """F at ``point``: its table at the cell bisected in ``Fraction`` order."""
+    t = F.table[tuple(bisect_left(bs, c) for bs, c in zip(F.breakpoints, point))]
+    return LexElement(F.signature, t[0], t[1:])
 
 
 def reference_volume(F, bounds) -> LexElement:
@@ -325,7 +333,7 @@ def reference_volume(F, bounds) -> LexElement:
     total = F.signature.zero
     for eps in product((0, 1), repeat=F.n):
         corner = tuple(bounds[j][e] for j, e in enumerate(eps))
-        term = eval_F(F, corner)
+        term = _table_value(F, corner)
         if (F.n - sum(eps)) % 2 == 0:
             total = group_add(total, term)
         else:
@@ -343,7 +351,7 @@ def reference_partial_delta(F, deltas, point) -> LexElement:
         corner = list(base)
         for j, e in zip(axes, eps):
             corner[j] = norm[j][e]
-        term = eval_F(F, corner)
+        term = _table_value(F, corner)
         if (len(axes) - sum(eps)) % 2 == 0:
             total = group_add(total, term)
         else:

@@ -30,6 +30,7 @@ from lexspec.boxgeom import (
     format_region,
     halfopen_box,
     intersect,
+    is_finite,
     lower_orthant,
     open_closed,
     order_key,
@@ -112,6 +113,8 @@ _GATED = {
     "below": (below, str),
     "above": (lambda c: above(c, closed=True), str),
     "halfopen_box": (lambda c: halfopen_box([c, 0], [5, 5]), str),
+    "Interval.contains": (lambda c: closed_open(0, 5).contains(c), str),
+    "Region.contains": (lambda c: halfopen_box([0, 0], [5, 5]).contains((c, 0)), str),
     "lower_orthant": (lambda c: lower_orthant([0, c]), str),
     "make_observable": (
         lambda c: make_observable(_SIG, 2, [((c, Q(0)), _SIG.unit)]), observable_to_json),
@@ -244,6 +247,8 @@ class TestConstructors:
 
     def test_degenerate_halfopen_box_is_empty(self):
         assert halfopen_box((1, 1), (1, 5)).is_empty()
+        assert halfopen_box((0, Q(-2, 6)), (5, Q(-1, 3))).is_empty()
+        assert halfopen_box((Q(_BIG, _BIG + 1), 0), (Q(_BIG, _BIG + 1), 1)).is_empty()
 
     def test_halfopen_box_corners(self):
         r = halfopen_box((2, 2), (3, 3))
@@ -251,8 +256,14 @@ class TestConstructors:
         assert not r.contains((Q(3), Q(3)))
 
     def test_bad_corners(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="lower corner exceeds upper corner: 2 > 1"):
             halfopen_box((2,), (1,))
+        with pytest.raises(GeometryError, match="lower corner exceeds upper corner: -1/3 > -1/2"):
+            halfopen_box((0, Q(-1, 3)), (1, Q(-1, 2)))
+
+    def test_bad_corners_after_a_degenerate_axis(self):
+        with pytest.raises(GeometryError, match="lower corner exceeds upper corner: 2 > 1"):
+            halfopen_box((1, 2), (1, 1))
 
 
 # random small boxes on a coarse rational grid, for oracle-style comparisons
@@ -356,6 +367,28 @@ def _plain_member(iv, x):
 
 _COORDS = st.one_of(st.sampled_from(_VALUES), st.fractions(-2, 5, max_denominator=4))
 
+# Small rationals, negative ones among them, and values of (-1, 0) with
+# 31-digit denominators, whose order keys all tie on the floor -1.
+_EXACT = st.one_of(
+    st.fractions(-3, 3, max_denominator=7),
+    st.builds(lambda a, e: Q(a, 10 ** 30 + e) - 1,
+              st.integers(1, 10 ** 30 - 1), st.integers(0, 10 ** 6)),
+)
+
+
+@st.composite
+def exact_intervals(draw):
+    """An interval on two ``_EXACT`` values: each closure, an infinite end on
+    either side or both, and equal ends, which are closed."""
+    a, b = sorted([draw(_EXACT), draw(_EXACT)])
+    lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+    shape = draw(st.sampled_from(["finite", "point", "below", "above", "line"]))
+    if shape == "point" or (shape == "finite" and a == b):
+        return Interval(a, True, a, True)
+    lo = NEG_INF if shape in ("below", "line") else a
+    hi = POS_INF if shape in ("above", "line") else b
+    return Interval(lo, lo_closed and is_finite(lo), hi, hi_closed and is_finite(hi))
+
 
 class TestContainsPredicate:
     """Containment tests the sentinels by identity and compares each finite
@@ -373,6 +406,22 @@ class TestContainsPredicate:
                     assert iv.contains(x) == _plain_member(iv, x)
             want = any(all(map(_plain_member, b.dims, point)) for b in r.boxes)
             assert r.contains(point) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(exact_intervals(), min_size=1, max_size=3), st.data())
+    def test_integer_pairs_agree_with_fraction_order(self, ivs, data):
+        """Integer cross-products order each coordinate against each end as
+        ``Fraction`` comparisons do: every closure, infinite ends, equal
+        closed ends, negative values and ends that tie on their floor."""
+        ends = [v for iv in ivs for v in (iv.lo, iv.hi) if is_finite(v)]
+        near = st.sampled_from(ends or [Q(0)]).flatmap(
+            lambda v: st.sampled_from([v, v - Q(1, 10 ** 31), v + Q(1, 10 ** 31)]))
+        r = Region(len(ivs), [Box(tuple(ivs))])
+        for _ in range(5):
+            point = tuple(data.draw(st.one_of(_EXACT, near)) for _ in ivs)
+            member = [_plain_member(iv, x) for iv, x in zip(ivs, point)]
+            assert [iv.contains(x) for iv, x in zip(ivs, point)] == member
+            assert r.contains(point) == all(member)
 
     @pytest.mark.parametrize("point", [(Q(0),), (Q(0), Q(0), Q(0))])
     @pytest.mark.parametrize("boxes", [0, 1, 2])

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction as Q
 from functools import reduce
 from itertools import product
+from operator import le
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -205,6 +206,26 @@ class TestT0Adjoined:
             assert b.char_point_level is not None and b.char_point_level < b.level
 
 
+@st.composite
+def domain_cases(draw):
+    """An observable in R^1..R^3 with up to four atoms on a small grid of
+    halves, k = 1..3: heights are a composition of k that may hold zeros,
+    height-0 weights are positive, and the first tall atom takes the balance
+    of g, so every draw is a valid observable."""
+    n = draw(st.integers(1, 3))
+    sig = AlgebraSignature(draw(st.integers(1, 3)), 1)
+    coord = st.fractions(-2, 2, max_denominator=2)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, sig.k), min_size=len(points) - 1,
+                                max_size=len(points) - 1)))
+    heights = [b - a for a, b in zip([0, *cuts], [*cuts, sig.k])]
+    gs = [draw(st.integers(-2, 2)) if h else draw(st.integers(1, 2)) for h in heights]
+    first = next(i for i, h in enumerate(heights) if h)
+    gs[first] -= sum(gs)
+    atoms = [(p, LexElement(sig, h, (g,))) for p, h, g in zip(points, heights, gs)]
+    return make_observable(sig, n, atoms)
+
+
 class TestReconstruct:
     def test_case_seven_round_trip(self):
         x = build_observable("3.7/7")
@@ -242,6 +263,31 @@ class TestReconstruct:
         x = make_observable(sig, 2, [((1, 1), one), ((2, 2), one)])
         with pytest.raises(NotReconstructibleError, match="sum to"):
             reconstruct(from_observable(x))
+
+    def test_two_unit_atoms_on_a_line_are_outside_the_domain(self):
+        """k = 2, n = 1, (1; 0) at -7 and at -1: every axiom holds, yet the
+        atom at -1 lies above the one at -7, so only -7 is adjoined."""
+        sig = AlgebraSignature(2, 1)
+        one = LexElement(sig, 1, (0,))
+        F = from_observable(make_observable(sig, 1, [((-7,), one), ((-1,), one)]))
+        assert check_axioms(F).ok
+        with pytest.raises(NotReconstructibleError,
+                           match=r"sum to \(1; 0\), not the unit \(2; 0\)"):
+            reconstruct(F)
+
+    @settings(max_examples=300, deadline=None)
+    @given(domain_cases())
+    def test_exact_domain(self, x):
+        """``reconstruct(from_observable(x)) == x`` exactly when every atom has
+        positive height and no atom point lies at or below another."""
+        points = [a.point for a in x.atoms]
+        antichain = not any(p != q and all(map(le, p, q)) for p in points for q in points)
+        inside = antichain and all(a.weight.h > 0 for a in x.atoms)
+        try:
+            result = reconstruct(from_observable(x))
+        except NotReconstructibleError:
+            result = None
+        assert (result == x) == inside
 
 
 class TestBounds:
