@@ -49,8 +49,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from itertools import product
-from typing import Iterable, Sequence, Union
+from itertools import chain, product
+from typing import Collection, Iterable, Sequence, Union
 
 
 class GeometryError(ValueError):
@@ -274,7 +274,7 @@ def _run_interval(cuts: Sequence[Cut], lo: int, hi: int) -> Interval:
     return _valid_interval(lo_end, lo_side == 0, hi_end, hi_side == 1)
 
 
-def _merged_runs(n: int, cells: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _merged_runs(n: int, cells: Collection[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Sorted canonical runs of a set of integer cells: merge maximal runs of
     adjacent indices along axis n-1, then n-2, and so on down to axis 0.
 
@@ -282,8 +282,11 @@ def _merged_runs(n: int, cells: Iterable[tuple[int, ...]]) -> list[tuple[int, ..
     hi_{j+1}, ..., lo_{n-1}, hi_{n-1}): single indices up to axis j, runs above
     it.  Merging turns p_j into lo_j, hi_j, so at the end every cell is a run
     (lo_0, hi_0, ..., lo_{n-1}, hi_{n-1}) and their integer order is the box
-    order.  ``cells`` must hold no duplicates.
+    order.  ``cells`` must hold no duplicates.  One cell is its own run.
     """
+    if len(cells) == 1:
+        (cell,) = cells
+        return [tuple(chain.from_iterable(zip(cell, cell)))]
     runs = cells
     for axis in range(n - 1, -1, -1):
         groups: dict[tuple[int, ...], list[int]] = {}
@@ -304,7 +307,7 @@ def _merged_runs(n: int, cells: Iterable[tuple[int, ...]]) -> list[tuple[int, ..
 
 
 def _merged_boxes(
-    cuts: Sequence[Sequence[Cut]], cells: Iterable[tuple[int, ...]]
+    cuts: Sequence[Sequence[Cut]], cells: Collection[tuple[int, ...]]
 ) -> tuple[Box, ...]:
     """Canonical boxes of a set of atomic cells (tuples of piece indices)."""
     return tuple(
@@ -374,7 +377,7 @@ def cell_ends(breakpoints: Sequence[Sequence[Fraction]]) -> list[tuple[list[str]
 
 
 def cell_region_text(
-    ends: Sequence[tuple[Sequence[str], Sequence[str]]], cells: Iterable[tuple[int, ...]]
+    ends: Sequence[tuple[Sequence[str], Sequence[str]]], cells: Collection[tuple[int, ...]]
 ) -> str:
     """Canonical text of the union of distinct ``cells`` of the grid on
     ``breakpoints``, whose cell r of an axis is (b_{r-1}, b_r] (b_{-1} = -inf,

@@ -112,6 +112,20 @@ class Block:
         }
 
 
+# Slot setters of the frozen Block and LexElement, for the records that
+# _blocks builds valid by construction (as boxgeom._valid_interval does).
+_SETTERS = {cls: [getattr(cls, name).__set__ for name in cls.__slots__]
+            for cls in (Block, LexElement)}
+
+
+def _record(cls, *fields):
+    """``cls(*fields)`` without ``__init__`` and its checks."""
+    record = object.__new__(cls)
+    for setter, value in zip(_SETTERS[cls], fields):
+        setter(record, value)
+    return record
+
+
 @dataclass(frozen=True, slots=True)
 class LevelDecomposition:
     """Region text of each level 0..k in R^n, and whether the input is pathological."""
@@ -246,7 +260,9 @@ def _blocks(F: StepResolution) -> tuple[StepResolution, list[Block]]:
             groups.setdefault(key, []).append(p)
 
     found: list[Block] = []
-    for (i, starts), members in sorted(groups.items()):
+    for key in sorted(groups):
+        i, starts = key
+        members = groups[key]
         flags = ["minus_infinity_projection"] if 0 in starts else []
 
         # Landing level per axis: the level at the point with that coordinate
@@ -273,11 +289,16 @@ def _blocks(F: StepResolution) -> tuple[StepResolution, list[Block]]:
         # The characteristic point is the upper corner of the cell below the starts.
         cp_level = None if 0 in starts else table[tuple(r - 1 for r in starts)][0]
 
-        # Every member has height i, so the meet is the componentwise minimum.
-        g = tuple(map(min, zip(*(values[p][1:] for p in members))))
-        infimum = LexElement(F.signature, i, g)
-        found.append(Block(i, starts, tuple(cells[p] for p in members), F.breakpoints,
-                           tuple(landing), cp_level, adjoined, infimum, tuple(flags)))
+        # Every member has height i, so the meet is the componentwise minimum;
+        # a one-cell block is its own cell's value.
+        if len(members) == 1:
+            g, block_cells = values[members[0]][1:], (cells[members[0]],)
+        else:
+            g = tuple(map(min, zip(*(values[p][1:] for p in members))))
+            block_cells = tuple(cells[p] for p in members)
+        infimum = _record(LexElement, F.signature, i, g)
+        found.append(_record(Block, i, starts, block_cells, F.breakpoints, tuple(landing),
+                             cp_level, adjoined, infimum, tuple(flags)))
     return F, found
 
 

@@ -32,6 +32,7 @@ from .observable import (
     MAX_K,
     DiscreteObservable,
     ObservableError,
+    json_text,
     observable_from_doc,
     observable_to_doc,
 )
@@ -80,7 +81,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_doc(args, doc: dict) -> None:
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _emit(args, json_text(doc) + "\n")
 
 
 def load_document(path: str) -> tuple[str, DiscreteObservable | StepResolution]:

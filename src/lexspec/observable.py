@@ -8,9 +8,11 @@ sum to the unit, so evaluation is total and finitely additive.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import chain, pairwise
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Sequence
 
@@ -169,21 +171,34 @@ def _decode_flat(doc, d: int) -> tuple[int, ...]:
     return t
 
 
+def _field(entry, key: str, what: str, i: int):
+    """``entry[key]``, ``entry`` being item ``i`` of a document's list of
+    ``what`` objects (an atom or a cell); a non-object or a missing key is named."""
+    if not isinstance(entry, dict):
+        raise ObservableError(f"{what} {i} is not an object: {reprlib.repr(entry)}")
+    if key not in entry:
+        raise ObservableError(f"{what} {i} has no {key!r}")
+    return entry[key]
+
+
 def _decode_cells(cells: list, d: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """A resolution document's cells as ``{index: flat value}``.  Well-formed
-    cells are checked in one pass over all their integers; anything else is
-    decoded cell by cell, which raises the message naming what is wrong."""
+    cells are checked column-wise, by builtins over all their indices and all
+    their components; anything else is decoded cell by cell, which raises the
+    message naming what is wrong."""
     try:
         keys = [tuple(c["index"]) for c in cells if type(c["index"]) is list]
         flats = [(v["h"], *v["g"]) for v in [c["value"] for c in cells] if type(v["g"]) is list]
     except (KeyError, TypeError):
         keys = flats = []
-    if (len(keys) == len(flats) == len(cells) and all(len(t) == d + 1 for t in flats)
-            and all(type(x) is int for t in keys for x in t)
-            and all(type(x) is int and -_TOO_LONG < x < _TOO_LONG for t in flats for x in t)):
+    comps = list(chain.from_iterable(flats))
+    if (len(keys) == len(flats) == len(cells) and set(map(len, flats)) <= {d + 1}
+            and set(map(type, chain.from_iterable(keys))) <= {int}
+            and set(map(type, comps)) <= {int}
+            and -_TOO_LONG < min(comps, default=0) and max(comps, default=0) < _TOO_LONG):
         return dict(zip(keys, flats))
-    return {tuple(map(_decode_int, _decode_list(c["index"]))): _decode_flat(c["value"], d)
-            for c in cells}
+    return {tuple(map(_decode_int, _decode_list(_field(c, "index", "cell", i)))):
+            _decode_flat(_field(c, "value", "cell", i), d) for i, c in enumerate(cells)}
 
 
 def _decode_element(doc, signature: AlgebraSignature) -> LexElement:
@@ -210,18 +225,41 @@ def observable_from_doc(doc: dict) -> DiscreteObservable:
         n = _decode_int(doc["n"])
         atoms = [
             (
-                [_decode_rational(c) for c in _decode_list(item["point"])],
-                _decode_element(item["weight"], signature),
+                [_decode_rational(c) for c in _decode_list(_field(item, "point", "atom", i))],
+                _decode_element(_field(item, "weight", "atom", i), signature),
             )
-            for item in _decode_list(doc["atoms"])
+            for i, item in enumerate(_decode_list(doc["atoms"]))
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ObservableError(f"bad observable document: {exc}") from exc
     return make_observable(signature, n, atoms)
 
 
+def json_text(doc, newline: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, whose encoder takes its
+    pure-Python path when it indents, for str-keyed dicts, lists, strs, ints,
+    bools and ``None``; anything else raises ``TypeError``.  Dispatch is on
+    exact type or identity, as ``1.0 == True``.  ``newline`` is the line
+    break and indent of the current depth."""
+    kind = type(doc)
+    if kind is str:
+        return _quote(doc)
+    if kind is int:
+        return int.__repr__(doc)
+    if doc is None or doc is True or doc is False:
+        return "null" if doc is None else "true" if doc else "false"
+    inner = newline + "  "
+    if kind is list:
+        items = [json_text(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if kind is dict:  # _quote refuses a key that is not a str
+        items = [_quote(k) + ": " + json_text(v, inner) for k, v in sorted(doc.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"not a JSON document value: {doc!r}")
+
+
 def observable_to_json(x: DiscreteObservable) -> str:
-    return json.dumps(observable_to_doc(x), indent=2, sort_keys=True)
+    return json_text(observable_to_doc(x))
 
 
 def observable_from_json(text: str) -> DiscreteObservable:

@@ -34,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations, islice, pairwise, product
+from itertools import accumulate, chain, combinations, islice, pairwise, product
 from math import prod
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -50,6 +50,7 @@ from .observable import (
     _decode_rational,
     _decode_signature,
     _encode_rational,
+    json_text,
     make_observable,
 )
 
@@ -184,11 +185,16 @@ def _checked_table(
             raise ResolutionError(f"axis {j} needs at least one breakpoint")
         if any(a >= b for a, b in pairwise(keys)):
             raise ResolutionError(f"axis {j} breakpoints must be strictly increasing")
-    # Distinct in-shape keys, as many as the grid has cells, are the whole
-    # grid; the grid itself is never built, as it may be far larger than the map.
-    # It has at least 2^n cells, so the product is skipped when 2^n > len(table).
+    # Indices and values are checked by builtins over whole columns; a pass
+    # cell by cell runs only to name what is wrong.  Distinct in-shape keys,
+    # as many as the grid has cells, are the whole grid; the grid itself is
+    # never built, as it may be far larger than the map.  It has at least 2^n
+    # cells, so the product is skipped when 2^n > len(table).
     shape = F.shape
-    extra = sorted(
+    in_shape = set(map(len, table)) <= {n} and all(
+        0 <= min(column) and max(column) <= m for column, m in zip(zip(*table), shape)
+    )
+    extra = [] if in_shape else sorted(
         idx for idx in table
         if len(idx) != n or not all(0 <= r <= m for r, m in zip(idx, shape))
     )
@@ -202,10 +208,16 @@ def _checked_table(
             f"cell map mismatch: missing {count} cells {reprlib.repr(missing)}, "
             f"extra {len(extra)} {reprlib.repr(extra[:3])}"
         )
+    # A value of height <= 0 lies in [0, u] iff no component is negative, one
+    # of height >= k iff its height is k and no g component is positive.
     k = signature.k
-    for idx, t in table.items():
-        if not _nonneg(t) or t[0] > k or (t[0] == k and max(t[1:]) > 0):  # 0 <= t <= u
-            raise ResolutionError(f"cell {idx} value {_element(signature, t)} lies outside [0, u]")
+    low = chain.from_iterable(t for t in table.values() if t[0] <= 0)
+    top = list(zip(*(t for t in table.values() if t[0] >= k)))
+    if min(low, default=0) < 0 or (top and (max(top[0]) > k or max(map(max, top[1:])) > 0)):
+        for idx, t in table.items():
+            if not _nonneg(t) or t[0] > k or (t[0] == k and max(t[1:]) > 0):  # 0 <= t <= u
+                raise ResolutionError(
+                    f"cell {idx} value {_element(signature, t)} lies outside [0, u]")
     return F
 
 
@@ -634,7 +646,7 @@ def resolution_from_doc(doc: dict) -> StepResolution:
 
 
 def resolution_to_json(F: StepResolution) -> str:
-    return json.dumps(resolution_to_doc(F), indent=2, sort_keys=True)
+    return json_text(resolution_to_doc(F))
 
 
 def resolution_from_json(text: str) -> StepResolution:

@@ -49,6 +49,7 @@ from lexspec.verify import (
     pathological_family,
     random_observable,
     run_suite,
+    saturating_family,
 )
 
 from oracles import (
@@ -688,7 +689,19 @@ class TestStridedBlockPass:
     @given(resolutions())
     def test_random_resolutions(self, F):
         G, found = _blocks(F)
-        assert found == reference_blocks(G)
+        want = reference_blocks(G)
+        assert found == want and list(map(hash, found)) == list(map(hash, want))
+
+    @pytest.mark.parametrize("family", ["patho-m32-k5", "saturate-K24"])
+    def test_one_cell_blocks(self, family):
+        """Records built with slot setters, one-cell blocks straight from their
+        cell, equal and hash like the checked records of the reference."""
+        F = (pathological_family(32, 5) if family == "patho-m32-k5"
+             else from_observable(saturating_family(24)))
+        G, found = _blocks(F)
+        want = reference_blocks(G)
+        assert {len(b.cells) for b in found} == {1} and len(found) == len(want) > 250
+        assert found == want and list(map(hash, found)) == list(map(hash, want))
 
 
 class TestMassOracleOnTranscript:

@@ -590,11 +590,15 @@ class TestInputErrorsExitTwo:
 def _malformed_docs():
     """Inputs that each break one rule of the document format or of a point:
     the document, the argv that reads it and the message it exits 2 with."""
-    cell = lambda idx, h: {"index": idx, "value": {"h": h, "g": [0]}}
+    cell = lambda idx, h, g=(0,): {"index": idx, "value": {"h": h, "g": list(g)}}
     res = lambda n, bps, cells: {"kind": "resolution", "k": 1, "d": 1, "n": n,
                                  "breakpoints": bps, "cells": cells}
     obs = lambda k, point, weight: {"kind": "observable", "k": k, "d": 1, "n": 2,
                                     "atoms": [{"point": point, "weight": weight}]}
+    line = lambda top: res(1, [[0]], [cell([0], 0), top])  # a bad cell above a good one
+    plane = lambda last: res(2, [[0], [0]],
+                             [cell([0, 0], 0), cell([0, 1], 0), cell([1, 0], 0), last])
+    atoms = lambda *items: {"kind": "observable", "k": 1, "d": 1, "n": 2, "atoms": list(items)}
     ex1 = json.loads(observable_to_json(build_observable("3.7/1")))
     return {
         "eval_point_dimension": (ex1, ["eval", "--point", "1,2,3"],
@@ -610,6 +614,44 @@ def _malformed_docs():
         "weight_components": (obs(1, [1, 2], {"h": 1, "g": [0, 0]}), ["charpoints"],
                               "bad element document: {'h': 1, 'g': [0, 0]}"),
         "k0": (obs(0, [1, 2], {"h": 0, "g": [0]}), ["charpoints"], "k must be >= 1, got 0"),
+        # an atom or a cell that is no object, or lacks a key, is named
+        "atom_not_object": (atoms(5), ["charpoints"], "bad observable document: atom 0 is not "
+                                                      "an object: 5"),
+        "atom_no_weight": (atoms({"point": [1, 2]}), ["charpoints"],
+                           "bad observable document: atom 0 has no 'weight'"),
+        "cell_not_object": (line("x"), ["charpoints"],
+                            "bad resolution document: cell 1 is not an object: 'x'"),
+        "cell_no_index": (line({"value": {"h": 1, "g": [0]}}), ["charpoints"],
+                          "bad resolution document: cell 1 has no 'index'"),
+        # every table-cell message, as the cell-by-cell pass words it
+        "index_bool": (line(cell([True], 1)), ["charpoints"],
+                       "bad resolution document: not an integer: True"),
+        "index_float": (line(cell([1.0], 1)), ["charpoints"],
+                        "bad resolution document: not an integer: 1.0"),
+        "index_negative": (line(cell([-1], 1)), ["charpoints"],
+                           "cell map mismatch: missing 1 cells [(1,)], extra 1 [(-1,)]"),
+        "index_out_of_shape": (plane(cell([1, 2], 1)), ["charpoints"],
+                               "cell map mismatch: missing 1 cells [(1, 1)], extra 1 [(1, 2)]"),
+        "index_length": (line(cell([1, 0], 1)), ["charpoints"],
+                         "cell map mismatch: missing 1 cells [(1,)], extra 1 [(1, 0)]"),
+        "component_float": (line(cell([1], 1.0)), ["charpoints"],
+                            "bad element document: {'h': 1.0, 'g': [0]}"),
+        "component_bool": (line(cell([1], 1, [False])), ["charpoints"],
+                           "bad element document: {'h': 1, 'g': [False]}"),
+        "component_str": (line(cell([1], 1, ["0"])), ["charpoints"],
+                          "bad element document: {'h': 1, 'g': ['0']}"),
+        "g_length": (line(cell([1], 1, [0, 0])), ["charpoints"],
+                     "bad element document: {'h': 1, 'g': [0, 0]}"),
+        "component_digits": (line(cell([1], 1, [-10 ** 4000])), ["charpoints"],
+                             "an element component has more than 4000 digits"),
+        "h_negative": (line(cell([1], -1, [5])), ["charpoints"],
+                       "cell (1,) value (-1; 5) lies outside [0, u]"),
+        "h_above_k": (line(cell([1], 2)), ["charpoints"],
+                      "cell (1,) value (2; 0) lies outside [0, u]"),
+        "h_k_positive_g": (line(cell([1], 1, [1])), ["charpoints"],
+                           "cell (1,) value (1; 1) lies outside [0, u]"),
+        "h_0_negative_g": (res(1, [[0]], [cell([0], 0, [-1]), cell([1], 1)]), ["charpoints"],
+                           "cell (0,) value (0; -1) lies outside [0, u]"),
     }
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lexspec.boxgeom import Region, complement, difference, intersect, lower_orthant, union
 from lexspec.gallery import build_observable
@@ -14,6 +16,8 @@ from lexspec.observable import (
     _decode_flat,
     _decode_int,
     _decode_list,
+    _field,
+    json_text,
     make_observable,
     observable_from_doc,
     observable_from_json,
@@ -215,9 +219,10 @@ class TestJson:
 
 
 def _cell_by_cell(cells, d):
-    """Resolution cells decoded one at a time, each integer on its own."""
-    return {tuple(map(_decode_int, _decode_list(c["index"]))): _decode_flat(c["value"], d)
-            for c in cells}
+    """Resolution cells decoded one at a time, each integer on its own, each
+    cell named by its position when it is no object or lacks a key."""
+    return {tuple(map(_decode_int, _decode_list(_field(c, "index", "cell", i)))):
+            _decode_flat(_field(c, "value", "cell", i), d) for i, c in enumerate(cells)}
 
 
 def _outcome(decode, cells, d):
@@ -275,3 +280,36 @@ class TestDecodeCells:
         cells = self._cells()
         assert _outcome(_decode_cells, cells, 2) == _outcome(_cell_by_cell, cells, 2)
         assert _outcome(_decode_cells, cells, 2)[0] is ObservableError
+
+
+# Strings with JSON escapes, quotes, control characters and non-ASCII text
+# (outside the basic plane too), and ints of up to 4,000 digits either side of 0.
+_texts = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f ~aZ\u00e9\u2028\ud800\U0001f600'))
+_texts |= st.text()
+_ints = st.integers() | st.integers(-(10 ** 4000 - 1), 10 ** 4000 - 1)
+_documents = st.recursive(
+    st.none() | st.booleans() | _ints | _texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """``json_text`` prints ``json.dumps(doc, indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_documents)
+    @example([[], {}, [[]], {"": {}}, {"a": [{}, []]}, [[[{}]]]])
+    @example({"\u00e9": ["\"q\"", "\\", "\n"], "A": -(10 ** 4000 - 1), "b": 10 ** 4000 - 1})
+    @example([True, False, None, 0, -1, 1])
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    # 1.0 == True and 0.0 == False: a lookup table of literals would print them
+    @pytest.mark.parametrize("doc", [
+        1.0, [0.0], {"a": 0.5}, float("nan"), (1, 2), [()], Q(1, 2), {"a": Q(1)},
+        {1: "a"}, {True: 1}, {None: 1}, {"a": 1, 2: "b"},
+    ])
+    def test_refuses_what_is_no_document(self, doc):
+        with pytest.raises(TypeError):
+            json_text(doc)
