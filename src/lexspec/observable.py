@@ -223,13 +223,19 @@ def observable_from_doc(doc: dict) -> DiscreteObservable:
     try:
         signature = _decode_signature(doc)
         n = _decode_int(doc["n"])
-        atoms = [
-            (
-                [_decode_rational(c) for c in _decode_list(_field(item, "point", "atom", i))],
-                _decode_element(_field(item, "weight", "atom", i), signature),
-            )
-            for i, item in enumerate(_decode_list(doc["atoms"]))
-        ]
+        items = _decode_list(doc["atoms"])
+        try:
+            atoms = [
+                (
+                    [_decode_rational(c) for c in _decode_list(item["point"])],
+                    _decode_element(item["weight"], signature),
+                )
+                for item in items
+            ]
+        except (KeyError, TypeError):  # raised by an atom that is no object or lacks a key
+            for i, item in enumerate(items):
+                _field(item, "point", "atom", i), _field(item, "weight", "atom", i)
+            raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ObservableError(f"bad observable document: {exc}") from exc
     return make_observable(signature, n, atoms)

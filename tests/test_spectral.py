@@ -245,6 +245,27 @@ class TestFromCells:
         with pytest.raises(ResolutionError, match="outside"):
             from_cells(sig, 2, ((Q(1),), (Q(1),)), values)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2), st.data())
+    def test_first_value_outside_the_interval_is_named(self, k, d, data):
+        """The column-wise check refuses exactly the tables with a value
+        outside [0, u], and names the first one in cell order."""
+        sig = AlgebraSignature(k, d)
+        heights = st.integers(0, k) | st.sampled_from([-1, k + 1])
+        values = {
+            idx: LexElement(sig, data.draw(heights), tuple(data.draw(st.lists(
+                st.integers(-2, 2), min_size=d, max_size=d))))
+            for idx in product(range(3), range(2))
+        }
+        bad = next((f"cell {idx} value {v} lies outside [0, u]"
+                    for idx, v in values.items() if not in_unit_interval(v)), None)
+        if bad is None:
+            assert from_cells(sig, 2, ((Q(0), Q(1)), (Q(0),)), values).values == values
+        else:
+            with pytest.raises(ResolutionError) as info:
+                from_cells(sig, 2, ((Q(0), Q(1)), (Q(0),)), values)
+            assert str(info.value) == bad
+
     def test_cell_count_not_multiplied_out_when_2_to_the_n_exceeds_the_map(self, monkeypatch):
         monkeypatch.setattr(spectral, "prod", None)  # any call raises TypeError
         sig = AlgebraSignature(1, 1)
