@@ -234,7 +234,8 @@ def observable_from_doc(doc: dict) -> DiscreteObservable:
             ]
         except (KeyError, TypeError):  # raised by an atom that is no object or lacks a key
             for i, item in enumerate(items):
-                _field(item, "point", "atom", i), _field(item, "weight", "atom", i)
+                for key in ("point", "weight"):
+                    _field(item, key, "atom", i)
             raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ObservableError(f"bad observable document: {exc}") from exc
@@ -261,7 +262,7 @@ def json_text(doc, newline: str = "\n") -> str:
     if kind is dict:  # _quote refuses a key that is not a str
         items = [_quote(k) + ": " + json_text(v, inner) for k, v in sorted(doc.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    raise TypeError(f"not a JSON document value: {doc!r}")
+    raise TypeError(f"not a JSON document value: {reprlib.repr(doc)}")
 
 
 def observable_to_json(x: DiscreteObservable) -> str:
