@@ -95,11 +95,8 @@ class Block:
         text = cell_region_text(cell_ends(self.breakpoints), self.cells)
         return parse_region(text, len(self.starts))
 
-    def to_doc(self) -> dict:
-        return self._doc(cell_ends(self.breakpoints))
-
-    def _doc(self, ends: list[tuple[list[str], list[str]]]) -> dict:
-        """:meth:`to_doc`, its texts read off ``ends = cell_ends(self.breakpoints)``."""
+    def to_doc(self, ends: list[tuple[list[str], list[str]]]) -> dict:
+        """The block's document, its texts read off ``ends = cell_ends(self.breakpoints)``."""
         return {
             "level": self.level,
             "char_point": [lo[r][1:] if r else None for (lo, _), r in zip(ends, self.starts)],
@@ -110,20 +107,6 @@ class Block:
             "infimum": str(self.infimum),
             "flags": list(self.flags),
         }
-
-
-# Slot setters of the frozen Block and LexElement, for the records that
-# _blocks builds valid by construction (as boxgeom._valid_interval does).
-_SETTERS = {cls: [getattr(cls, name).__set__ for name in cls.__slots__]
-            for cls in (Block, LexElement)}
-
-
-def _record(cls, *fields):
-    """``cls(*fields)`` without ``__init__`` and its checks."""
-    record = object.__new__(cls)
-    for setter, value in zip(_SETTERS[cls], fields):
-        setter(record, value)
-    return record
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +161,7 @@ class BlockReport:
             "pathological": self.pathological,
             "axioms_ok": self.axioms.ok,
             "levels": {
-                str(i): [b._doc(ends) for b in bs] for i, bs in sorted(self.levels.items())
+                str(i): [b.to_doc(ends) for b in bs] for i, bs in sorted(self.levels.items())
             },
             "char_points": [format_ext_point(p) for p in self.points],
             "counts": {str(i): len(bs) for i, bs in sorted(self.levels.items())},
@@ -296,9 +279,8 @@ def _blocks(F: StepResolution) -> tuple[StepResolution, list[Block]]:
         else:
             g = tuple(map(min, zip(*(values[p][1:] for p in members))))
             block_cells = tuple(cells[p] for p in members)
-        infimum = _record(LexElement, F.signature, i, g)
-        found.append(_record(Block, i, starts, block_cells, F.breakpoints, tuple(landing),
-                             cp_level, adjoined, infimum, tuple(flags)))
+        found.append(Block(i, starts, block_cells, F.breakpoints, tuple(landing), cp_level,
+                           adjoined, LexElement(F.signature, i, g), tuple(flags)))
     return F, found
 
 
@@ -415,8 +397,9 @@ class BoundsCheck:
 
 def bounds_check(report: BlockReport) -> BoundsCheck:
     """Check count <= min(C(k, i), C(k-i+n-1, n-1)) per level i (k-i+1 in the
-    plane; C(k, i) is proven, the other a conjecture that exhaustive searches on
-    small n and k match) and the sum of those limits in total."""
+    plane) and the sum of those limits in total.  C(k, i) is proven.  The
+    second term is an upper bound on every searched maximum, unproven in
+    general; those maxima meet it except at level 2 in R^3 for k >= 5."""
     k, n = report.k, report.n
     limits = [min(comb(k, i), comb(k - i + n - 1, n - 1)) for i in range(1, k + 1)]
     per_level = tuple(

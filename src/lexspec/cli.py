@@ -144,7 +144,7 @@ def _describe_blocks(args, report) -> str:
     lines = []
     ends = cell_ends(report.breakpoints)
     for b in report.all_blocks():
-        doc = b._doc(ends)
+        doc = b.to_doc(ends)
         char = "(" + ", ".join(c or "-inf" for c in doc["char_point"]) + ")"
         adj = "T0-adjoined" if b.t0_adjoined else "not adjoined"
         lines.append(

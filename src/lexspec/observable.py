@@ -17,12 +17,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .boxgeom import Region, order_key, parse_rational, rational
-from .lexalg import (
-    AlgebraSignature,
-    LexElement,
-    in_unit_interval,
-    sum_finite,
-)
+from .lexalg import AlgebraSignature, LexElement, in_unit_interval
 
 
 class ObservableError(ValueError):
@@ -94,13 +89,11 @@ def make_observable(
     keyed = sorted(((tuple(map(order_key, a.point)), a) for a in normalized), key=itemgetter(0))
     if any(k1 == k2 for (k1, _), (k2, _) in pairwise(keyed)):
         raise ObservableError("atom points must be pairwise distinct")
-    # Summed as flat integer tuples; sum_finite only names a wrong total.
+    # Summed as flat integer tuples, and a wrong total is named as summed.
     total = tuple(map(sum, zip(*((a.weight.h, *a.weight.g) for a in normalized))))
     if total != (signature.k, *(0,) * signature.d):
-        raise ObservableError(
-            f"weights must sum to the unit {signature.unit}, "
-            f"got {sum_finite([a.weight for a in normalized])}"
-        )
+        raise ObservableError(f"weights must sum to the unit {signature.unit}, "
+                              f"got {LexElement(signature, total[0], total[1:])}")
     return DiscreteObservable(signature, n, tuple(a for _, a in keyed))
 
 
@@ -159,9 +152,7 @@ def _decode_flat(doc, d: int) -> tuple[int, ...]:
     """An element document as the flat tuple (h, g_1, ..., g_d), each
     component of at most ``MAX_DIGITS`` digits: sums of them stay printable."""
     try:
-        t = (doc["h"], *_decode_list(doc["g"]))
-        if not all(type(x) is int for x in t):  # one pass; _decode_int refuses the culprit
-            t = tuple(map(_decode_int, t))
+        t = tuple(map(_decode_int, (doc["h"], *_decode_list(doc["g"]))))
         if len(t) != d + 1:
             raise ObservableError(f"g has {len(t) - 1} components, expected {d}")
     except (KeyError, TypeError, ValueError) as exc:

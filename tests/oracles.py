@@ -22,6 +22,8 @@ resolutions, the masses by corner sums and the cell-by-cell reconstruction
 witness,
 by tests/test_spectral.py for the line-by-line grid sweep,
 by tests/test_render.py for the SVG drawn from region boxes,
+by tests/test_observable.py and tests/test_cli.py for the nesting depth of a
+JSON value,
 and by tests/test_lexalg.py and tests/test_boxgeom.py for small helpers that
 only tests use.
 """
@@ -801,3 +803,9 @@ def reference_render_svg(F) -> str:
         lx += 70.0
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def json_depth(v) -> int:
+    """How deeply lists and dicts nest in ``v``: 0 for a scalar, 1 for a flat container."""
+    items = v.values() if isinstance(v, dict) else v if isinstance(v, list) else None
+    return 0 if items is None else 1 + max(map(json_depth, items), default=0)

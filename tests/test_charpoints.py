@@ -317,7 +317,9 @@ def _limits(n, k):
 
 class TestDimensionBounds:
     """The per-level limit min(C(k, i), C(k-i+n-1, n-1)) against the most
-    characteristic points that k unit atoms reach in R^n."""
+    characteristic points that k unit atoms reach in R^n.  C(k, i) is proven.
+    The second term is an upper bound on every searched maximum, and the
+    maxima meet it everywhere except level 2 in R^3 for k >= 5."""
 
     @pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (2, 4), (3, 3)])
     def test_rule_matches_exhaustive_search(self, n, k):
@@ -344,6 +346,18 @@ class TestDimensionBounds:
         bc = bounds_check(all_blocks(from_observable(x)))
         assert [c for _, c, _ in bc.per_level] == [3, 3, 1]
         assert bc.ok and bc.total == bc.total_limit == 7
+
+    def test_level_two_in_r3_falls_short_of_the_limit(self):
+        # a searched witness that the limit is not always reached: 9 blocks at level 2, not 10
+        sig = AlgebraSignature(5, 1)
+        one = LexElement(sig, 1, (0,))
+        points = ((1, 1, 5), (2, 5, 1), (3, 3, 4), (4, 4, 3), (5, 2, 2))
+        report = all_blocks(from_observable(make_observable(sig, 3, [(p, one) for p in points])))
+        assert report.axioms.ok
+        assert report.level_counts() == {1: 5, 2: 9, 3: 6, 4: 3, 5: 1}
+        bc = bounds_check(report)
+        assert [lim for _, _, lim in bc.per_level] == [5, 10, 6, 3, 1]
+        assert bc.ok
 
     def test_suite_in_r3_reports_no_bounds_failure(self):
         # trials 27 and 241 exceeded the planar limits

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 import lexspec
 from lexspec.charpoints import format_ext_point
@@ -20,7 +20,7 @@ from lexspec.observable import MAX_DIGITS, MAX_K, observable_from_doc, observabl
 from lexspec.spectral import MAX_DENSE_CELLS, from_observable, resolution_to_json
 from lexspec.verify import mismatch_resolution, pathological_family
 
-from oracles import closed_join_char_points
+from oracles import closed_join_char_points, json_depth
 
 
 @pytest.fixture()
@@ -614,6 +614,17 @@ def _malformed_docs():
         "weight_components": (obs(1, [1, 2], {"h": 1, "g": [0, 0]}), ["charpoints"],
                               "bad element document: {'h': 1, 'g': [0, 0]}"),
         "k0": (obs(0, [1, 2], {"h": 0, "g": [0]}), ["charpoints"], "k must be >= 1, got 0"),
+        # every atom-weight message, as one decoding path words it
+        "weight_h_bool": (obs(1, [1, 2], {"h": True, "g": [0]}), ["charpoints"],
+                          "bad element document: {'h': True, 'g': [0]}"),
+        "weight_h_float": (obs(1, [1, 2], {"h": 1.0, "g": [0]}), ["charpoints"],
+                           "bad element document: {'h': 1.0, 'g': [0]}"),
+        "weight_h_str": (obs(1, [1, 2], {"h": "1", "g": [0]}), ["charpoints"],
+                         "bad element document: {'h': '1', 'g': [0]}"),
+        "weight_component_str": (obs(1, [1, 2], {"h": 1, "g": ["0"]}), ["charpoints"],
+                                 "bad element document: {'h': 1, 'g': ['0']}"),
+        "weight_g_not_list": (obs(1, [1, 2], {"h": 1, "g": "0"}), ["charpoints"],
+                              "bad element document: {'h': 1, 'g': '0'}"),
         # an atom or a cell that is no object, or lacks a key, is named
         "atom_not_object": (atoms(5), ["charpoints"], "bad observable document: atom 0 is not "
                                                       "an object: 5"),
@@ -860,10 +871,13 @@ _FUZZED_COMMANDS = (
     ["eval", "--point", "5/2,5/2"],
 )
 
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-50, 50) | st.floats(-1e3, 1e3) | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    _json_containers,
     max_leaves=6,
 )
 
@@ -958,6 +972,9 @@ def exponent_documents(draw) -> bytes:
 
 
 class TestCliFuzz:
+    def test_values_nest(self):
+        find(_json_values, lambda v: json_depth(v) >= 2)  # raises NoSuchExample if none does
+
     @settings(max_examples=150, deadline=None)
     @given(damaged_documents())
     def test_damaged_input_never_escapes(self, data):

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from lexspec.boxgeom import Region, complement, difference, intersect, lower_orthant, union
 from lexspec.gallery import build_observable
@@ -26,6 +26,8 @@ from lexspec.observable import (
 )
 from lexspec.spectral import from_observable, resolution_to_doc
 from lexspec.verify import SplitMix64, TrialConfig, random_observable
+
+from oracles import json_depth
 
 SIG = AlgebraSignature(2, 1)
 
@@ -49,10 +51,10 @@ class TestMakeObservable:
             make_observable(SIG, 2, [(((0), (0)), el(1, 0))])
 
     @pytest.mark.parametrize("weights, got", [([el(1, 0)], "(1; 0)"),
-                                              ([el(1, 0), el(1, 1)], "None"),
+                                              ([el(1, 0), el(1, 1)], "(2; 1)"),
                                               ([el(1, 0), el(1, -1)], "(2; -1)")])
     def test_wrong_total_names_the_sum(self, weights, got):
-        """The total is named as ``sum_finite`` gives it: None above the unit."""
+        """The total is named as summed, above the unit too."""
         atoms = [((i, i), w) for i, w in enumerate(weights)]
         with pytest.raises(ObservableError) as exc:
             make_observable(SIG, 2, atoms)
@@ -287,15 +289,18 @@ class TestDecodeCells:
 _texts = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f ~aZ\u00e9\u2028\ud800\U0001f600'))
 _texts |= st.text()
 _ints = st.integers() | st.integers(-(10 ** 4000 - 1), 10 ** 4000 - 1)
-_documents = st.recursive(
-    st.none() | st.booleans() | _ints | _texts,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_texts, inner, max_size=4),
-    max_leaves=30,
-)
+def _containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(_texts, inner, max_size=4)
+
+
+_documents = st.recursive(st.none() | st.booleans() | _ints | _texts, _containers, max_leaves=30)
 
 
 class TestJsonText:
     """``json_text`` prints ``json.dumps(doc, indent=2, sort_keys=True)``."""
+
+    def test_documents_nest(self):
+        find(_documents, lambda doc: json_depth(doc) >= 2)  # raises NoSuchExample if none does
 
     @settings(max_examples=500, deadline=None)
     @given(_documents)
