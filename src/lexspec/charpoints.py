@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .boxgeom import NEG_INF, ExtRat, Region, format_rational, is_finite, parse_region
 from .boxgeom import cell_ends, cell_region_text
-from .lexalg import LexElement, group_add
+from .lexalg import LexElement
 from .observable import DiscreteObservable, ObservableError, make_observable
 from .spectral import (
     AxiomReport,
@@ -334,17 +334,16 @@ def _reconstruct(F: StepResolution, blocks: Sequence[Block]) -> DiscreteObservab
     adjoined = [b for b in blocks if b.t0_adjoined]
     weights = [b.infimum for b in adjoined]
     points = [b.char_point for b in adjoined]
-    total = F.signature.zero
-    for w in weights:
-        total = group_add(total, w)
-    if total != F.signature.unit:
+    sig = F.signature
+    total = tuple(map(sum, zip((0,) * (sig.d + 1), *((w.h, *w.g) for w in weights))))
+    if total != (sig.k, *(0,) * sig.d):
         raise NotReconstructibleError(
-            f"adjoined block infima sum to {total}, not the unit {F.signature.unit}"
+            f"adjoined block infima sum to {_element(sig, total)}, not the unit {sig.unit}"
         )
     if len(set(points)) != len(points):
         raise NotReconstructibleError("two adjoined blocks share a characteristic point")
     try:
-        candidate = make_observable(F.signature, F.n, list(zip(points, weights)))
+        candidate = make_observable(sig, F.n, list(zip(points, weights)))
     except ObservableError as exc:
         raise NotReconstructibleError(str(exc)) from exc
 
@@ -354,14 +353,14 @@ def _reconstruct(F: StepResolution, blocks: Sequence[Block]) -> DiscreteObservab
     placed = _placed(candidate, F.breakpoints)
     if placed == F.masses:
         return candidate
-    induced = StepResolution(F.signature, F.n, F.breakpoints, masses=placed).table
+    induced = StepResolution(sig, F.n, F.breakpoints, masses=placed).table
     idx = next(idx for idx in F.cells() if induced[idx] != F.table[idx])
     return MismatchReport(
         candidate=candidate,
         witness_point=F.cell_rep(idx),
         witness_cell=cell_region_text(cell_ends(F.breakpoints), [idx]),
-        value_f=_element(F.signature, F.table[idx]),
-        value_candidate=_element(F.signature, induced[idx]),
+        value_f=_element(sig, F.table[idx]),
+        value_candidate=_element(sig, induced[idx]),
     )
 
 

@@ -32,6 +32,7 @@ from .observable import (
     MAX_K,
     DiscreteObservable,
     ObservableError,
+    _encode_element,
     json_text,
     observable_from_doc,
     observable_to_doc,
@@ -111,7 +112,7 @@ def cmd_eval(args) -> int:
     point = parse_point(args.point)
     value = eval_F(F, point)
     if args.json:
-        _emit_doc(args, {"point": args.point, "value": {"h": value.h, "g": list(value.g)}})
+        _emit_doc(args, {"point": args.point, "value": _encode_element(value)})
     else:
         _emit(args, format_element(value) + "\n")
     return 0

@@ -136,16 +136,20 @@ def join(a: LexElement, b: LexElement) -> LexElement:
     return LexElement(sig, a.h, tuple(max(x, y) for x, y in zip(a.g, b.g)))
 
 
+def _nonneg(t: tuple[int, ...]) -> bool:
+    """0 <= t in the lexicographic order, for a flat element (h, g_1, ..., g_d)."""
+    return t[0] > 0 or (t[0] == 0 and min(t) >= 0)
+
+
+def _in_unit(t: tuple[int, ...], k: int) -> bool:
+    """0 <= t <= u = (k; 0, ..., 0) for a flat element t = (h, g_1, ..., g_d):
+    0 <= h <= k, no negative g component at h = 0 and no positive one at h = k."""
+    return _nonneg(t) and (t[0] < k or (t[0] == k and max(t[1:]) <= 0))
+
+
 def in_unit_interval(a: LexElement) -> bool:
     """Membership in ``[0, u]``: 0 <= h <= k, with sign constraints at the ends."""
-    k = a.signature.k
-    if not 0 <= a.h <= k:
-        return False
-    if a.h == 0 and any(x < 0 for x in a.g):
-        return False
-    if a.h == k and any(x > 0 for x in a.g):
-        return False
-    return True
+    return _in_unit((a.h, *a.g), a.signature.k)
 
 
 def _require_member(a: LexElement) -> None:

@@ -40,7 +40,7 @@ from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .boxgeom import RatPoint, cell_ends, cell_region_text, order_key, rational
-from .lexalg import AlgebraError, AlgebraSignature, LexElement
+from .lexalg import AlgebraError, AlgebraSignature, LexElement, _in_unit, _nonneg
 from .observable import (
     DiscreteObservable,
     ObservableError,
@@ -215,7 +215,7 @@ def _checked_table(
     top = list(zip(*(t for t in table.values() if t[0] >= k)))
     if min(low, default=0) < 0 or (top and (max(top[0]) > k or max(map(max, top[1:])) > 0)):
         for idx, t in table.items():
-            if not _nonneg(t) or t[0] > k or (t[0] == k and max(t[1:]) > 0):  # 0 <= t <= u
+            if not _in_unit(t, k):
                 raise ResolutionError(
                     f"cell {idx} value {_element(signature, t)} lies outside [0, u]")
     return F
@@ -289,11 +289,6 @@ def _flat(v: LexElement, signature: AlgebraSignature) -> Flat:
 
 def _element(signature: AlgebraSignature, t: Flat) -> LexElement:
     return LexElement(signature, t[0], t[1:])
-
-
-def _nonneg(t: Flat) -> bool:
-    """0 <= t in the lexicographic order."""
-    return t[0] > 0 or (t[0] == 0 and min(t) >= 0)
 
 
 def _placed(x: DiscreteObservable, breaks: Sequence[Sequence[Fraction]]) -> dict[CellIndex, Flat]:

@@ -26,6 +26,7 @@ from .boxgeom import Box, Region, closed_open, complement, difference, intersect
 from .lexalg import (
     AlgebraSignature,
     LexElement,
+    _in_unit,
     group_add,
     group_sub,
     mv_neg,
@@ -184,9 +185,7 @@ def random_observable(config: TrialConfig, index: int) -> DiscreteObservable:
             for c, gc in zip(range(d), g):
                 g_total[c] += gc
             weights.append((h, g))
-        # 0 <= h <= k by construction: a weight leaves [0, u] or is zero only at the ends
-        if any(h == 0 and (min(g) < 0 or not any(g)) or h == k and max(g) > 0
-               for h, g in weights):
+        if not all((h or any(g)) and _in_unit((h, *g), k) for h, g in weights):
             continue
         atoms = [(tuple(Fraction(*c) for c in p), LexElement(sig, h, g))
                  for p, (h, g) in zip(points, weights)]
@@ -363,14 +362,13 @@ def run_suite(config: TrialConfig) -> SuiteSummary:
     Failures are counted, never raised: a reproducer is the (seed, index)
     pair recorded in the summary.
     """
-    summary = SuiteSummary(seed=config.seed, trials=config.trials)
-    runs = {name: 0 for name in _CHECKS}
-    fails = {name: 0 for name in _CHECKS}
+    summary = SuiteSummary(seed=config.seed, trials=config.trials,
+                           runs=dict.fromkeys(_CHECKS, 0), failures=dict.fromkeys(_CHECKS, 0))
 
     def record(name: str, index: int, ok: bool) -> None:
-        runs[name] += 1
+        summary.runs[name] += 1
         if not ok:
-            fails[name] += 1
+            summary.failures[name] += 1
             if len(summary.failing) < 25:
                 summary.failing.append({"index": index, "check": name})
 
@@ -403,7 +401,4 @@ def run_suite(config: TrialConfig) -> SuiteSummary:
                 record("reconstruct_roundtrip", index, back == x)
             except NotReconstructibleError:
                 record("reconstruct_roundtrip", index, False)
-
-    summary.runs = runs
-    summary.failures = fails
     return summary

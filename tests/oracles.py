@@ -15,7 +15,9 @@ projections, the antichain length and the tuple-keyed block pass,
 by tests/test_charpoints.py for the planar ray scan and the most closed
 joins per level of k unit atoms,
 by tests/test_charpoints.py and tests/test_cli.py for the closed-join
-characteristic points of an observable,
+characteristic points of an observable and its orthant blocks,
+by tests/test_charpoints.py and tests/test_cli.py for a resolution whose
+adjoined blocks share a characteristic point,
 by tests/test_verify.py for the staircase family's closed-form table,
 by tests/test_spectral.py and tests/test_charpoints.py for the random
 resolutions, the masses by corner sums and the cell-by-cell reconstruction
@@ -167,6 +169,43 @@ def closed_join_char_points(x) -> set[tuple[Q, ...]]:
         if below and tuple(map(max, zip(*below))) == p:
             found.add(p)
     return found
+
+
+def orthant_blocks(x) -> dict[tuple[Q, ...], tuple[int, LexElement]]:
+    """Every block of an observable's resolution as ``{characteristic point:
+    (level, infimum)}``, read off its atoms with no grid.
+
+    The characteristic points are the closed joins of the positive-height
+    atoms: those atoms closed under componentwise joins (their lcm lattice).
+    At a closed join c the level is the sum of the heights of the atoms at or
+    below c, and the infimum the sum of the weights of all atoms at or below
+    c, height-0 atoms included.
+    """
+    tall = {a.point for a in x.atoms if a.weight.h > 0}
+    joins, new = set(tall), set(tall)
+    while new:
+        new = {tuple(map(max, p, a)) for p in new for a in tall} - joins
+        joins |= new
+    found = {}
+    for c in joins:
+        below = [a.weight for a in x.atoms if all(p <= q for p, q in zip(a.point, c))]
+        infimum = x.signature.zero
+        for w in below:
+            infimum = group_add(infimum, w)
+        found[c] = (sum(w.h for w in below), infimum)
+    return found
+
+
+def shared_point_resolution():
+    """k = 3, d = 1, breakpoints (1, 2) and (1, 2, 3), every g = 0: the
+    levels by cell row are 0 0 0 0, 0 1 1 2 and 0 2 2 2.  Its adjoined
+    level-1 and level-2 blocks both start at (1, 1), and their infima sum to
+    the unit."""
+    sig = AlgebraSignature(3, 1)
+    rows = [(0, 0, 0, 0), (0, 1, 1, 2), (0, 2, 2, 2)]
+    values = {(r, c): LexElement(sig, h, (0,)) for r, row in enumerate(rows)
+              for c, h in enumerate(row)}
+    return from_cells(sig, 2, [(Q(1), Q(2)), (Q(1), Q(2), Q(3))], values)
 
 
 def max_closed_joins_per_level(n: int, k: int) -> list[int]:

@@ -61,10 +61,12 @@ from oracles import (
     max_antichain,
     max_closed_joins_per_level,
     oracle_char_points,
+    orthant_blocks,
     projection,
     reference_blocks,
     reference_rays_2d,
     resolutions,
+    shared_point_resolution,
 )
 
 SIG3 = AlgebraSignature(3, 1)
@@ -274,6 +276,14 @@ class TestReconstruct:
         assert check_axioms(F).ok
         with pytest.raises(NotReconstructibleError,
                            match=r"sum to \(1; 0\), not the unit \(2; 0\)"):
+            reconstruct(F)
+
+    def test_adjoined_blocks_sharing_a_point_are_refused(self):
+        F = shared_point_resolution()
+        adjoined = [b for b in all_blocks(F).all_blocks() if b.t0_adjoined]
+        assert [(b.level, b.char_point) for b in adjoined] == [(1, (1, 1)), (2, (1, 1))]
+        with pytest.raises(NotReconstructibleError,
+                           match="^two adjoined blocks share a characteristic point$"):
             reconstruct(F)
 
     @settings(max_examples=300, deadline=None)
@@ -778,6 +788,23 @@ def _dense_analyses(F) -> list:
     """:func:`_analyses` read off ``F``'s own grid."""
     with patch.object(charpoints, "height_grid", lambda F: F):
         return _analyses(F)
+
+
+class TestOrthantBlocks:
+    """Every block of an observable against the orthant oracle: one block per
+    closed join of the positive-height atoms, with its level and infimum."""
+
+    def test_random_observables(self):
+        cfg = TrialConfig(seed=27, trials=0, k_range=(1, 6), n_range=(1, 3))
+        flat = 0
+        for i in range(300):
+            x = random_observable(cfg, i)
+            flat += any(a.weight.h == 0 for a in x.atoms)
+            found = all_blocks(from_observable(x)).all_blocks()
+            expected = orthant_blocks(x)
+            assert len(found) == len(expected), i
+            assert {b.char_point: (b.level, b.infimum) for b in found} == expected, i
+        assert flat >= 50  # 88 of the 300 draws carry height-0 atoms
 
 
 class TestHeightGrid:

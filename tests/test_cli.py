@@ -13,14 +13,14 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 
 import lexspec
-from lexspec.charpoints import format_ext_point
+from lexspec.charpoints import all_blocks, format_ext_point
 from lexspec.cli import build_parser, main
 from lexspec.gallery import build_observable
 from lexspec.observable import MAX_DIGITS, MAX_K, observable_from_doc, observable_to_json
 from lexspec.spectral import MAX_DENSE_CELLS, from_observable, resolution_to_json
 from lexspec.verify import mismatch_resolution, pathological_family
 
-from oracles import closed_join_char_points, json_depth
+from oracles import closed_join_char_points, json_depth, orthant_blocks, shared_point_resolution
 
 
 @pytest.fixture()
@@ -161,6 +161,15 @@ class TestReconstruct:
         assert main(["reconstruct", "--input", ex1, "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["reconstructible"] is False and "sum to" in doc["reason"]
+
+    def test_shared_char_point_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "shared.json"
+        path.write_text(resolution_to_json(shared_point_resolution()))
+        assert main(["reconstruct", "--input", str(path), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "reconstructible": False,
+            "reason": "two adjoined blocks share a characteristic point",
+        }
 
     def test_mismatch_exit_code(self, mismatch, capsys):
         assert main(["reconstruct", "--input", mismatch, "--json"]) == 1
@@ -476,6 +485,12 @@ class TestOverCapObservable:
         assert doc["char_points"] == [format_ext_point(p) for p in points]
         assert doc["counts"] == {"1": 3, "2": 3, "3": 1} and doc["bounds"]["ok"]
 
+    def test_blocks_are_the_orthant_blocks(self):
+        x = observable_from_doc(_over_cap_doc())
+        blocks = all_blocks(from_observable(x)).all_blocks()
+        assert {b.char_point: (b.level, b.infimum) for b in blocks} == orthant_blocks(x)
+        assert len(blocks) == 7
+
     def test_dense_table_refused(self, path, capsys):
         assert main(["eval", "--input", path, "--point=50,50,50,50,50,50"]) == 2
         assert f"exceeds the limit of {MAX_DENSE_CELLS}" in capsys.readouterr().err
@@ -630,6 +645,16 @@ def _malformed_docs():
                                                       "an object: 5"),
         "atom_no_weight": (atoms({"point": [1, 2]}), ["charpoints"],
                            "bad observable document: atom 0 has no 'weight'"),
+        # atoms are decoded in order, so the first atom's fault is the one named
+        "first_atom_weight_then_no_point": (
+            atoms({"point": [1, 2], "weight": {"h": "x", "g": [0]}}, {"weight": {"h": 1, "g": [0]}}),
+            ["charpoints"], "bad observable document: bad element document: {'h': 'x', 'g': [0]}"),
+        "first_atom_no_point_then_weight": (
+            atoms({"weight": {"h": 1, "g": [0]}}, {"point": [2, 1], "weight": {"h": "x", "g": [0]}}),
+            ["charpoints"], "bad observable document: atom 0 has no 'point'"),
+        "second_atom_no_weight": (
+            atoms({"point": [1, 2], "weight": {"h": 1, "g": [0]}}, {"point": [2, 1]}),
+            ["charpoints"], "bad observable document: atom 1 has no 'weight'"),
         "cell_not_object": (line("x"), ["charpoints"],
                             "bad resolution document: cell 1 is not an object: 'x'"),
         "cell_no_index": (line({"value": {"h": 1, "g": [0]}}), ["charpoints"],
