@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -15,10 +16,10 @@ from hypothesis import find, given, settings, strategies as st
 import lexspec
 from lexspec.charpoints import all_blocks, format_ext_point
 from lexspec.cli import build_parser, main
-from lexspec.gallery import build_observable
+from lexspec.gallery import build_observable, example_names
 from lexspec.observable import MAX_DIGITS, MAX_K, observable_from_doc, observable_to_json
 from lexspec.spectral import MAX_DENSE_CELLS, from_observable, resolution_to_json
-from lexspec.verify import mismatch_resolution, pathological_family
+from lexspec.verify import mismatch_resolution, pathological_family, saturating_family
 
 from oracles import closed_join_char_points, json_depth, orthant_blocks, shared_point_resolution
 
@@ -271,6 +272,55 @@ class TestExample:
             main(["example", "3.7/7", "--json"])
         assert info.value.code == 2
         assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+def _transcript_argvs(tmp_path) -> list[list[str]]:
+    """Every subcommand, in text and in JSON where it has both, over the
+    gallery, the families, a document of unknown kind and a missing path."""
+    docs = {name.replace("/", "-"): observable_to_json(build_observable(name))
+            for name in [f"3.7/{i}" for i in range(1, 9)]}
+    docs |= {
+        "saturate-3": observable_to_json(saturating_family(3)),
+        "mismatch": resolution_to_json(mismatch_resolution()),
+        "patho-4-2": resolution_to_json(pathological_family(4, 2)),
+        "patho-5-3-chain": resolution_to_json(pathological_family(5, 3, "chain")),
+        "nope": json.dumps({"kind": "nope"}),
+    }
+    for key, text in docs.items():
+        (tmp_path / f"{key}.json").write_text(text)
+    argvs = []
+    for key in [*docs, "missing"]:
+        path = str(tmp_path / f"{key}.json")
+        for sub in ("regions", "charpoints", "axioms", "reconstruct"):
+            argvs += [[sub, "--input", path], [sub, "--input", path, "--json"]]
+        argvs += [["render", "--input", path], ["render", "--input", path, "--format", "svg"]]
+        argvs += [["eval", "--input", path, f"--point={p}", *j]
+                  for p, j in (("2,2", []), ("2,2", ["--json"]), ("2", []))]
+    argvs += [["verify", "--seed", "1", "--trials", "5", *j] for j in ([], ["--json"])]
+    names = [n for n in example_names() if n[-1].isdigit()]  # the fixed names
+    argvs += [["example", n] for n in [*names, "saturate/4", "3.7/17"]]
+    return argvs + [["example", "patho/5", "--k", "3"]]
+
+
+class TestTranscript:
+    """Exit code, stdout, stderr and ``--out`` bytes of every subcommand,
+    hashed: a change to the CLI's plumbing must print the same bytes."""
+
+    DIGEST = "6e8892a2c9d9dfbc695b5fe472b9fe11a4d0b36133507390156fba8b7f5ba8e6"
+
+    def test_digest(self, tmp_path, capsys):
+        argvs = _transcript_argvs(tmp_path)
+        out = tmp_path / "out.txt"
+        digest = hashlib.sha256()
+        for argv in argvs:
+            for full in (argv, [*argv, "--out", str(out)]):
+                rc, stdout, stderr = _this_process(full, capsys)
+                written = out.read_bytes() if out.exists() else None
+                out.unlink(missing_ok=True)
+                record = repr((full, rc, stdout, stderr, written))
+                digest.update(record.replace(str(tmp_path), "TMP").encode())
+        assert len(argvs) == 196
+        assert digest.hexdigest() == self.DIGEST
 
 
 def _fresh_python(args):
