@@ -27,7 +27,7 @@ from itertools import product
 from math import comb
 from typing import Sequence
 
-from .boxgeom import NEG_INF, ExtRat, Region, format_rational, is_finite, parse_region
+from .boxgeom import NEG_INF, ExtRat, Region, format_rational, is_finite, parse_region, rational
 from .boxgeom import cell_ends, cell_region_text
 from .lexalg import LexElement
 from .observable import DiscreteObservable, ObservableError, make_observable
@@ -427,6 +427,7 @@ def rays_check(F: StepResolution, point: ExtPoint) -> RaysResult:
         raise CharPointError(f"point dimension {len(point)}, grid has {F.n}")
     starts = []
     for axis, (bs, v) in enumerate(zip(F.breakpoints, point)):
+        v = rational(v) if is_finite(v) else v
         if is_finite(v) and v not in bs:
             raise CharPointError(f"{v} is not a grid value on axis {axis}")
         starts.append(bs.index(v) + 1 if is_finite(v) else 0)

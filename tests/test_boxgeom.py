@@ -41,7 +41,7 @@ from lexspec.boxgeom import (
     rational,
     union,
 )
-from lexspec.charpoints import level_regions
+from lexspec.charpoints import level_regions, rays_check
 from lexspec.lexalg import AlgebraSignature, LexElement
 from lexspec.observable import _decode_rational, make_observable, observable_to_json
 from lexspec.spectral import (
@@ -127,6 +127,7 @@ _GATED = {
     "volume": (lambda c: volume(_F, [(c, 5), (0, 5)]), str),
     "partial_delta": (lambda c: partial_delta(_F, {0: (0, c)}, (0, 4)), str),
     "point_mass_via_deltas": (lambda c: point_mass_via_deltas(_F, (c, 3)), str),
+    "rays_check": (lambda c: rays_check(_F, (c, Q(3))), str),
 }
 
 
