@@ -4,6 +4,11 @@ One input format across subcommands: the observable / resolution JSON
 documents of this package, told apart by their "kind" field.  Exit codes:
 0 success, 1 a check failed (axioms, bounds, reconstruction, suite), 2 usage
 or input errors.
+
+Each ``cmd_*(args, F)`` takes the resolution of ``--input`` (``None`` without
+one) and returns its exit code and its output.  Only :func:`main` loads the
+input, maps input errors to exit 2 and writes the output to stdout or --out:
+a dict as indent-2 JSON plus a newline, a list as lines, a str as it is.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ _INPUT_ERRORS = (
 
 
 def _paint(args, text: str, code: str) -> str:
-    """``text`` in colour when :func:`_emit` writes it to a terminal's stdout."""
-    if getattr(args, "out", None) or os.environ.get("LEXSPEC_COLOR") == "0":
+    """``text`` in colour when it goes to a terminal's stdout."""
+    if args.out or os.environ.get("LEXSPEC_COLOR") == "0":
         return text
     return f"\x1b[{code}m{text}\x1b[0m" if sys.stdout.isatty() else text
 
@@ -72,17 +77,6 @@ def _ok(args, text: str) -> str:
 
 def _bad(args, text: str) -> str:
     return _paint(args, text, "31")
-
-
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_doc(args, doc: dict) -> None:
-    _emit(args, json_text(doc) + "\n")
 
 
 def load_document(path: str) -> tuple[str, DiscreteObservable | StepResolution]:
@@ -102,46 +96,35 @@ def load_document(path: str) -> tuple[str, DiscreteObservable | StepResolution]:
     raise ObservableError(f"unknown document kind {kind!r}")
 
 
-def _load_resolution(path: str) -> StepResolution:
-    kind, obj = load_document(path)
+def _resolution(kind: str, obj: DiscreteObservable | StepResolution) -> StepResolution:
     return from_observable(obj) if kind == "observable" else obj
 
 
-def cmd_eval(args) -> int:
-    F = _load_resolution(args.input)
-    point = parse_point(args.point)
-    value = eval_F(F, point)
+def cmd_eval(args, F):
+    value = eval_F(F, parse_point(args.point))
     if args.json:
-        _emit_doc(args, {"point": args.point, "value": _encode_element(value)})
-    else:
-        _emit(args, format_element(value) + "\n")
-    return 0
+        return 0, {"point": args.point, "value": _encode_element(value)}
+    return 0, [format_element(value)]
 
 
-def cmd_regions(args) -> int:
-    F = _load_resolution(args.input)
+def cmd_regions(args, F):
     decomp = level_regions(F)
     if args.json:
-        _emit_doc(args, decomp.to_doc())
-    else:
-        lines = [f"T_{i} = {t}" for i, t in sorted(decomp.texts.items())]
-        if decomp.pathological:
-            lines.append("warning: resolution fails spectral conditions")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return 0, decomp.to_doc()
+    lines = [f"T_{i} = {t}" for i, t in sorted(decomp.texts.items())]
+    if decomp.pathological:
+        lines.append("warning: resolution fails spectral conditions")
+    return 0, lines
 
 
-def cmd_charpoints(args) -> int:
-    F = _load_resolution(args.input)
+def cmd_charpoints(args, F):
     report = all_blocks(F)
     if args.json:
-        _emit_doc(args, report.to_doc() | {"bounds": bounds_check(report).to_doc()})
-    else:
-        _emit(args, _describe_blocks(args, report))
-    return 0
+        return 0, report.to_doc() | {"bounds": bounds_check(report).to_doc()}
+    return 0, _describe_blocks(args, report)
 
 
-def _describe_blocks(args, report) -> str:
+def _describe_blocks(args, report) -> list[str]:
     lines = []
     ends = cell_ends(report.breakpoints)
     for b in report.all_blocks():
@@ -153,63 +136,46 @@ def _describe_blocks(args, report) -> str:
             + adj + (f"  flags: {', '.join(b.flags)}" if b.flags else "")
         )
     pts = report.char_points()
-    lines.append(
-        f"characteristic points ({len(pts)}): "
-        + ", ".join(format_ext_point(p) for p in pts)
-    )
+    lines.append(f"characteristic points ({len(pts)}): {', '.join(map(format_ext_point, pts))}")
     bc = bounds_check(report)
-    for entry in bc.to_doc()["per_level"]:
-        lines.append(
-            f"bound level {entry['level']}: {entry['count']} <= {entry['limit']} "
-            + (_ok(args, "ok") if entry["count"] <= entry["limit"] else _bad(args, "exceeded"))
-        )
-    lines.append(
-        f"bound total: {bc.total} <= {bc.total_limit} "
-        + (_ok(args, "ok") if bc.total <= bc.total_limit else _bad(args, "exceeded"))
-    )
-    return "\n".join(lines) + "\n"
+    rows = [(f"level {level}", count, limit) for level, count, limit in bc.per_level]
+    for name, count, limit in [*rows, ("total", bc.total, bc.total_limit)]:
+        mark = _ok(args, "ok") if count <= limit else _bad(args, "exceeded")
+        lines.append(f"bound {name}: {count} <= {limit} {mark}")
+    return lines
 
 
-def cmd_axioms(args) -> int:
-    F = _load_resolution(args.input)
+def cmd_axioms(args, F):
     report = check_axioms(F)
+    code = 0 if report.ok else 1
     if args.json:
-        _emit_doc(args, {"ok": report.ok, "axioms": report.to_doc()})
-    else:
-        lines = []
-        for name, status in sorted(report.statuses.items()):
-            mark = _ok(args, "pass") if status.ok else _bad(args, "FAIL")
-            line = f"{name}: {mark}"
-            if status.note:
-                line += f"  ({status.note})"
-            if status.witness:
-                line += f"  witness: {json.dumps(status.witness, sort_keys=True)}"
-            lines.append(line)
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if report.ok else 1
+        return code, {"ok": report.ok, "axioms": report.to_doc()}
+    lines = []
+    for name, status in sorted(report.statuses.items()):
+        mark = _ok(args, "pass") if status.ok else _bad(args, "FAIL")
+        line = f"{name}: {mark}"
+        if status.note:
+            line += f"  ({status.note})"
+        if status.witness:
+            line += f"  witness: {json.dumps(status.witness, sort_keys=True)}"
+        lines.append(line)
+    return code, lines
 
 
-def cmd_reconstruct(args) -> int:
-    F = _load_resolution(args.input)
+def cmd_reconstruct(args, F):
     try:
         result = reconstruct(F)
     except ReconstructionError as exc:
         if args.json:
-            _emit_doc(args, {"reconstructible": False, "reason": str(exc)})
-        else:
-            _emit(args, _bad(args, "not reconstructible") + f": {exc}\n")
-        return 1
+            return 1, {"reconstructible": False, "reason": str(exc)}
+        return 1, [_bad(args, "not reconstructible") + f": {exc}"]
     if isinstance(result, MismatchReport):
         if args.json:
-            _emit_doc(args, result.to_doc())
-        else:
-            _emit(args, _bad(args, "mismatch") + f": {_mismatch_text(result)}\n")
-        return 1
+            return 1, result.to_doc()
+        return 1, [_bad(args, "mismatch") + f": {_mismatch_text(result)}"]
     if args.json:
-        _emit_doc(args, observable_to_doc(result))
-    else:
-        _emit(args, "reconstructed atoms:\n" + "\n".join(_describe_atoms(result)) + "\n")
-    return 0
+        return 0, observable_to_doc(result)
+    return 0, ["reconstructed atoms:", *_describe_atoms(result)]
 
 
 def _describe_atoms(x: DiscreteObservable) -> list[str]:
@@ -223,46 +189,35 @@ def _mismatch_text(result: MismatchReport) -> str:
     )
 
 
-def cmd_verify(args) -> int:
-    config = TrialConfig(
-        seed=args.seed,
-        trials=args.trials,
-        k_range=(1, 6 if args.k is None else args.k),
-    )
-    summary = run_suite(config)
+def cmd_verify(args, F):
+    k_range = (1, 6 if args.k is None else args.k)
+    summary = run_suite(TrialConfig(seed=args.seed, trials=args.trials, k_range=k_range))
+    code = 0 if summary.ok else 1
     if args.json:
-        _emit_doc(args, summary.to_doc())
-    else:
-        lines = [f"seed {summary.seed}, {summary.trials} trials"]
-        for name, stats in summary.to_doc()["checks"].items():
-            mark = _ok(args, "ok") if stats["failures"] == 0 else _bad(args, "FAIL")
-            lines.append(f"{name}: {stats['runs']} runs, {stats['failures']} failures {mark}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if summary.ok else 1
+        return code, summary.to_doc()
+    lines = [f"seed {summary.seed}, {summary.trials} trials"]
+    for name, stats in summary.to_doc()["checks"].items():
+        mark = _ok(args, "ok") if stats["failures"] == 0 else _bad(args, "FAIL")
+        lines.append(f"{name}: {stats['runs']} runs, {stats['failures']} failures {mark}")
+    return code, lines
 
 
-def cmd_render(args) -> int:
-    F = _load_resolution(args.input)
-    text = render_svg(F) if args.format == "svg" else render_ascii(F)
-    _emit(args, text)
-    return 0
+def cmd_render(args, F):
+    return 0, render_svg(F) if args.format == "svg" else render_ascii(F)
 
 
-def cmd_example(args) -> int:
+def cmd_example(args, F):
     kind, obj, note = build_example(args.name, k=args.k)
-    out = []
-    if note:
-        out.append(f"note: {note}")
-    F = from_observable(obj) if kind == "observable" else obj
+    F = _resolution(kind, obj)
+    out = [f"note: {note}"] if note else []
     if kind == "observable":
         out.append(f"atoms (k={obj.signature.k}, d={obj.signature.d}, n={obj.n}):")
         out += _describe_atoms(obj)
     out += [f"T_{i} = {t}" for i, t in sorted(_level_texts(F).items())]
-    out.append(_describe_blocks(args, all_blocks(F)).rstrip("\n"))
+    out += _describe_blocks(args, all_blocks(F))
     if args.name == "3.7/9":  # mismatch_resolution always gives a MismatchReport
         out.append(f"reconstruction mismatch: {_mismatch_text(reconstruct(F))}")
-    _emit(args, "\n".join(out) + "\n")
-    return 0
+    return 0, out
 
 
 def _at_least(lo: int, hi: int | None = None):
@@ -300,21 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "first coordinate is negative")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("regions", help="print the level-set regions T_i")
-    add_common(p, "--input", "--json")
-    p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser("charpoints", help="blocks, characteristic points, bounds")
-    add_common(p, "--input", "--json")
-    p.set_defaults(func=cmd_charpoints)
-
-    p = sub.add_parser("axioms", help="check the spectral-resolution conditions")
-    add_common(p, "--input", "--json")
-    p.set_defaults(func=cmd_axioms)
-
-    p = sub.add_parser("reconstruct", help="rebuild an observable from adjoined blocks")
-    add_common(p, "--input", "--json")
-    p.set_defaults(func=cmd_reconstruct)
+    for name, func, text in (
+        ("regions", cmd_regions, "print the level-set regions T_i"),
+        ("charpoints", cmd_charpoints, "blocks, characteristic points, bounds"),
+        ("axioms", cmd_axioms, "check the spectral-resolution conditions"),
+        ("reconstruct", cmd_reconstruct, "rebuild an observable from adjoined blocks"),
+    ):
+        p = sub.add_parser(name, help=text)
+        add_common(p, "--input", "--json")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run the randomized theorem suite")
     add_common(p, "--json")
@@ -339,13 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        F = _resolution(*load_document(args.input)) if "input" in args else None
+        code, output = args.func(args, F)
+        if isinstance(output, dict):
+            output = json_text(output) + "\n"
+        elif isinstance(output, list):
+            output = "\n".join(output) + "\n"
+        if args.out:
+            Path(args.out).write_text(output, encoding="utf-8")
+        else:
+            sys.stdout.write(output)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":
