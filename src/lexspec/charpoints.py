@@ -427,10 +427,10 @@ def rays_check(F: StepResolution, point: ExtPoint) -> RaysResult:
         raise CharPointError(f"point dimension {len(point)}, grid has {F.n}")
     starts = []
     for axis, (bs, v) in enumerate(zip(F.breakpoints, point)):
-        v = rational(v) if is_finite(v) else v
-        if is_finite(v) and v not in bs:
+        v = v if v is NEG_INF else rational(v)
+        if v is not NEG_INF and v not in bs:
             raise CharPointError(f"{v} is not a grid value on axis {axis}")
-        starts.append(bs.index(v) + 1 if is_finite(v) else 0)
+        starts.append(0 if v is NEG_INF else bs.index(v) + 1)
     table, shape = F.table, F.shape
     for j, s in enumerate(starts):
         rest = [range(r, m + 1) for i, (r, m) in enumerate(zip(starts, shape)) if i != j]

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexspec import charpoints
-from lexspec.boxgeom import NEG_INF, Box, Region, above, is_finite, open_closed
+from lexspec.boxgeom import (
+    NEG_INF, POS_INF, Box, GeometryError, Region, above, is_finite, open_closed,
+)
 from lexspec.charpoints import (
     CharPointError,
     MismatchReport,
@@ -412,6 +414,8 @@ class TestRays:
             rays_check(F, (Q(2), Q(1, 3)))
         with pytest.raises(CharPointError, match="point dimension 1, grid has 2"):
             rays_check(F, (Q(2),))
+        with pytest.raises(GeometryError, match=r"must be an int or a Fraction, got \+inf"):
+            rays_check(F, (POS_INF, Q(2)))  # only -inf stands for a start 0
 
     @pytest.mark.parametrize(
         "family",
