@@ -277,8 +277,7 @@ class TestExample:
 def _transcript_argvs(tmp_path) -> list[list[str]]:
     """Every subcommand, in text and in JSON where it has both, over the
     gallery, the families, a document of unknown kind and a missing path."""
-    docs = {name.replace("/", "-"): observable_to_json(build_observable(name))
-            for name in [f"3.7/{i}" for i in range(1, 9)]}
+    docs = {f"3.7-{i}": observable_to_json(build_observable(f"3.7/{i}")) for i in range(1, 9)}
     docs |= {
         "saturate-3": observable_to_json(saturating_family(3)),
         "mismatch": resolution_to_json(mismatch_resolution()),
