@@ -322,6 +322,35 @@ class TestTranscript:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestBigGridTranscript:
+    """Exit code and output of the heavy analyses, hashed, on grids of 136 to
+    528 blocks: the pathological tables of 24 and 32 atoms (mostly one-cell
+    blocks), the saturating family of 24 and the examples built from them."""
+
+    DIGEST = "5ce40f9107ec707fe1a6809ad5587301aa89923916695fbcd4ef908b11e7b1c1"
+
+    def test_digest(self, tmp_path, capsys):
+        docs = {
+            "patho-32-5": resolution_to_json(pathological_family(32, 5)),
+            "patho-24-4": resolution_to_json(pathological_family(24, 4)),
+            "saturate-24": observable_to_json(saturating_family(24)),
+        }
+        argvs = []
+        for key, text in docs.items():
+            path = tmp_path / f"{key}.json"
+            path.write_text(text)
+            base = ["--input", str(path)]
+            argvs += [["charpoints", *base], ["charpoints", *base, "--json"]]
+            argvs += [[sub, *base, "--json"] for sub in ("regions", "axioms", "reconstruct")]
+            argvs += [["render", *base], ["render", *base, "--format", "svg"]]
+        argvs += [["example", "saturate/24"], ["example", "patho/24"]]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            record = repr((argv, *_this_process(argv, capsys)))
+            digest.update(record.replace(str(tmp_path), "TMP").encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 def _fresh_python(args):
     """Exit code, stdout and stderr of ``python args`` in a new interpreter
     that imports this ``lexspec``."""
