@@ -8,8 +8,10 @@ and cells sharing one characteristic point form a block.  Everything here is
 exact cell-index arithmetic: for step functions the infima are breakpoints,
 indexed by the run starts (start 0 stands for -inf, which only pathological
 resolutions produce and which is flagged).  A block is a cell-index record on
-its grid; its characteristic point is read off the breakpoints.  Level and
-block text (JSON and CLI) is printed from merged cell runs by
+its grid.  Characteristic points stay run starts until printed: every printed
+one (JSON, CLI text, SVG labels) is read off the grid's ``cell_ends`` texts by
+:func:`point_text`, and ``Fraction`` points are derived on request.  Level and
+block text is printed from merged cell runs by
 :func:`boxgeom.cell_region_text`; a ``Region`` is parsed back only on request.
 
 Merged cell runs are canonical: a set's text is the same on every grid that
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .boxgeom import NEG_INF, ExtRat, Region, format_rational, is_finite, parse_region, rational
 from .boxgeom import cell_ends, cell_region_text
-from .lexalg import LexElement
+from .lexalg import LexElement, format_element
 from .observable import DiscreteObservable, ObservableError, make_observable
 from .spectral import (
     AxiomReport,
@@ -66,14 +68,18 @@ def format_ext_point(p: ExtPoint) -> str:
     return "(" + ", ".join("-inf" if not is_finite(c) else format_rational(c) for c in p) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+def point_text(ends: list[tuple[list[str], list[str]]], starts: Sequence[int]) -> str:
+    """:func:`format_ext_point` at run starts ``starts``, read off ``ends``."""
+    return "(" + ", ".join([lo[r][1:] for (lo, _), r in zip(ends, starts)]) + ")"
+
+
+class Block(NamedTuple):
     """A maximal set of same-level cells sharing one characteristic point.
 
-    A cell-index record on the grid ``breakpoints``: ``starts`` is the members'
-    run-start vector and ``cells`` the members in cell order.  The
-    characteristic point is read off the breakpoints; the region is parsed from
-    the cells' text on each access, so callers that never read it pay nothing.
+    A cell-index record on the grid ``breakpoints``, a named tuple (built with
+    no setter per field, it equals its fields' tuple): ``starts`` is the
+    members' run-start vector and ``cells`` the members in cell order.  The
+    region is parsed from the cells' text on each access.
     """
 
     level: int
@@ -92,20 +98,25 @@ class Block:
 
     @property
     def region(self) -> Region:
-        text = cell_region_text(cell_ends(self.breakpoints), self.cells)
-        return parse_region(text, len(self.starts))
+        return parse_region(self.region_text(cell_ends(self.breakpoints)), len(self.starts))
+
+    def region_text(self, ends: list[tuple[list[str], list[str]]]) -> str:
+        """:func:`cell_region_text` of the cells; one cell is its own run."""
+        if len(self.cells) == 1:
+            return "x".join([lo[r] + "," + hi[r] for (lo, hi), r in zip(ends, self.cells[0])])
+        return cell_region_text(ends, self.cells)
 
     def to_doc(self, ends: list[tuple[list[str], list[str]]]) -> dict:
         """The block's document, its texts read off ``ends = cell_ends(self.breakpoints)``."""
         return {
             "level": self.level,
             "char_point": [lo[r][1:] if r else None for (lo, _), r in zip(ends, self.starts)],
-            "region": cell_region_text(ends, self.cells),
-            "landing_levels": list(self.landing_levels),
+            "region": self.region_text(ends),
+            "landing_levels": [*self.landing_levels],
             "char_point_level": self.char_point_level,
             "t0_adjoined": self.t0_adjoined,
-            "infimum": str(self.infimum),
-            "flags": list(self.flags),
+            "infimum": format_element(self.infimum),
+            "flags": [*self.flags],
         }
 
 
@@ -132,16 +143,20 @@ class LevelDecomposition:
 @dataclass(frozen=True, slots=True)
 class BlockReport:
     """All blocks of a resolution on the grid ``breakpoints``, grouped by level.
-    ``points`` are the distinct characteristic points, sorted by run starts,
-    which order exactly like the points."""
+    ``starts`` are the run starts of the distinct characteristic points,
+    sorted; they order exactly like the points, which ``points`` derives."""
 
     k: int
     n: int
     levels: dict[int, tuple[Block, ...]]
     axioms: AxiomReport
     pathological: bool
-    points: list[ExtPoint]
+    starts: list[tuple[int, ...]]
     breakpoints: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def points(self) -> list[ExtPoint]:
+        return [_point(self.breakpoints, r) for r in self.starts]
 
     def all_blocks(self) -> list[Block]:
         return [b for i in sorted(self.levels) for b in self.levels[i]]
@@ -163,7 +178,7 @@ class BlockReport:
             "levels": {
                 str(i): [b.to_doc(ends) for b in bs] for i, bs in sorted(self.levels.items())
             },
-            "char_points": [format_ext_point(p) for p in self.points],
+            "char_points": [point_text(ends, r) for r in self.starts],
             "counts": {str(i): len(bs) for i, bs in sorted(self.levels.items())},
         }
 
@@ -198,7 +213,7 @@ def all_blocks(F: StepResolution) -> BlockReport:
         levels={i: tuple(bs) for i, bs in levels.items()},
         axioms=axioms,
         pathological=(not axioms.ok) or any(b.flags for b in found),
-        points=[_point(G.breakpoints, r) for r in sorted({b.starts for b in found})],
+        starts=sorted({b.starts for b in found}),
         breakpoints=G.breakpoints,
     )
 
@@ -209,8 +224,8 @@ def _blocks(F: StepResolution) -> tuple[StepResolution, list[Block]]:
     The grid is read once into lists in ``F.cells()`` order.  One pass per
     axis j walks every axis-j line upward, one stride at a time: a cell of the
     level of the cell below continues its run, any other starts a run at its
-    own index and lands on the level below.  Blocks are keyed by run starts,
-    which determine the characteristic point and sort in its order.
+    own index and lands on the level below.  Blocks are keyed by level and the
+    offset of their run-start cell, which sorts like the characteristic point.
     """
     F = height_grid(F)
     table = F.table  # refuses an oversized grid before its cells are listed
@@ -218,69 +233,65 @@ def _blocks(F: StepResolution) -> tuple[StepResolution, list[Block]]:
     values = [table[idx] for idx in cells]
     levels = [t[0] for t in values]
     total = len(levels)
-    starts_by_axis: list[list[int]] = []
+    head = list(range(total))  # offset of the cell at each cell's run starts
     landing_by_axis: list[list[int]] = []
-    stride = total
+    stride, below = total, 0  # below: from a cell to the cell below it on every axis
     for m in F.shape:
         stride //= m + 1
+        below += stride
         span = stride * (m + 1)
-        start = [r for r in range(m + 1) for _ in range(stride)] * (total // span)
+        first = list(range(total))  # the first cell of each cell's axis run
         land = [0] * total  # read only where the run starts above index 0
         for base in range(0, total, span):
             for p in range(base + stride, base + span):
                 q = p - stride
                 if levels[q] == levels[p]:
-                    start[p] = start[q]
+                    first[p] = first[q]
                     land[p] = land[q]
                 else:
                     land[p] = levels[q]
-        starts_by_axis.append(start)
+        head = [h + f - p for p, (h, f) in enumerate(zip(head, first))]
         landing_by_axis.append(land)
 
-    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for p, key in enumerate(zip(levels, zip(*starts_by_axis))):
-        if key[0]:
-            groups.setdefault(key, []).append(p)
+    groups: dict[int, list[int]] = {}
+    for p, (i, h) in enumerate(zip(levels, head)):
+        if i:
+            groups.setdefault(i * total + h, []).append(p)
 
     found: list[Block] = []
-    for key in sorted(groups):
-        i, starts = key
-        members = groups[key]
-        flags = ["minus_infinity_projection"] if 0 in starts else []
+    infima: dict[tuple[int, ...], LexElement] = {}  # one element per distinct value
+    cell_lands = list(zip(*landing_by_axis))
+    for key, members in sorted(groups.items()):
+        i, h = divmod(key, total)
+        starts = cells[h]
+        # Every member has height i, so the meet is the componentwise minimum;
+        # a one-cell block is its own cell's value and lands where its cell does.
+        if len(members) == 1:
+            p = members[0]
+            t, block_cells, lands = values[p], (cells[p],), cell_lands[p]
+        else:
+            t = (i, *map(min, zip(*(values[p][1:] for p in members))))
+            block_cells = tuple(cells[p] for p in members)
+            seen = [set(lv) for lv in zip(*(cell_lands[p] for p in members))]
+            lands = tuple([s.pop() if len(s) == 1 else None for s in seen])
+        infimum = infima.get(t) or infima.setdefault(t, _element(F.signature, t))
 
         # Landing level per axis: the level at the point with that coordinate
         # replaced by its projection.  Must be consistent across members and
-        # strictly below the block level for well-behaved resolutions.
-        landing: list[int | None] = []
-        adjoined = 0 not in starts
-        for j, (r0, land) in enumerate(zip(starts, landing_by_axis)):
-            if r0 == 0:
-                landing.append(None)
-                continue
-            seen = {land[p] for p in members}
-            if len(seen) > 1:
-                flags.append(f"inconsistent_landing_axis_{j}")
-                landing.append(None)
-                adjoined = False
-            else:
-                lv = seen.pop()
-                landing.append(lv)
-                adjoined = adjoined and lv == 0
-                if lv >= i:
-                    flags.append(f"landing_not_below_axis_{j}")
-
-        # The characteristic point is the upper corner of the cell below the starts.
-        cp_level = None if 0 in starts else table[tuple(r - 1 for r in starts)][0]
-
-        # Every member has height i, so the meet is the componentwise minimum;
-        # a one-cell block is its own cell's value.
-        if len(members) == 1:
-            g, block_cells = values[members[0]][1:], (cells[members[0]],)
+        # strictly below the block level for well-behaved resolutions.  The
+        # characteristic point is the upper corner of the cell below the starts.
+        if 0 in starts:
+            landing = tuple([lv if r else None for r, lv in zip(starts, lands)])
+            flags, cp_level = ("minus_infinity_projection",), None
         else:
-            g = tuple(map(min, zip(*(values[p][1:] for p in members))))
-            block_cells = tuple(cells[p] for p in members)
-        found.append(Block(i, starts, block_cells, F.breakpoints, tuple(landing), cp_level,
-                           adjoined, LexElement(F.signature, i, g), tuple(flags)))
+            landing, flags, cp_level = lands, (), levels[h - below]
+        if None in lands or max(lands) >= i:
+            flags += tuple(
+                f"{'inconsistent_landing' if lv is None else 'landing_not_below'}_axis_{j}"
+                for j, (r, lv) in enumerate(zip(starts, lands)) if r and (lv is None or lv >= i)
+            )
+        found.append(Block(i, starts, block_cells, F.breakpoints, landing, cp_level,
+                           landing.count(0) == len(landing), infimum, flags))
     return F, found
 
 
@@ -428,9 +439,10 @@ def rays_check(F: StepResolution, point: ExtPoint) -> RaysResult:
     starts = []
     for axis, (bs, v) in enumerate(zip(F.breakpoints, point)):
         v = v if v is NEG_INF else rational(v)
-        if v is not NEG_INF and v not in bs:
+        r = -1 if v is NEG_INF else F._axis_cell(axis, v)  # the breakpoints below v
+        if r >= 0 and bs[r:r + 1] != (v,):
             raise CharPointError(f"{v} is not a grid value on axis {axis}")
-        starts.append(0 if v is NEG_INF else bs.index(v) + 1)
+        starts.append(r + 1)
     table, shape = F.table, F.shape
     for j, s in enumerate(starts):
         rest = [range(r, m + 1) for i, (r, m) in enumerate(zip(starts, shape)) if i != j]

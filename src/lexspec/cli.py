@@ -29,6 +29,7 @@ from .charpoints import (
     bounds_check,
     level_regions,
     format_ext_point,
+    point_text,
     reconstruct,
 )
 from .gallery import UnknownExampleError, build_example, example_names
@@ -128,15 +129,14 @@ def _describe_blocks(args, report) -> list[str]:
     lines = []
     ends = cell_ends(report.breakpoints)
     for b in report.all_blocks():
-        doc = b.to_doc(ends)
-        char = "(" + ", ".join(c or "-inf" for c in doc["char_point"]) + ")"
         adj = "T0-adjoined" if b.t0_adjoined else "not adjoined"
         lines.append(
-            f"level {b.level}  char {char}  region {doc['region']}  infimum {doc['infimum']}  "
+            f"level {b.level}  char {point_text(ends, b.starts)}  "
+            f"region {b.region_text(ends)}  infimum {format_element(b.infimum)}  "
             + adj + (f"  flags: {', '.join(b.flags)}" if b.flags else "")
         )
-    pts = report.char_points()
-    lines.append(f"characteristic points ({len(pts)}): {', '.join(map(format_ext_point, pts))}")
+    pts = [point_text(ends, r) for r in report.starts]
+    lines.append(f"characteristic points ({len(pts)}): {', '.join(pts)}")
     bc = bounds_check(report)
     rows = [(f"level {level}", count, limit) for level, count, limit in bc.per_level]
     for name, count, limit in [*rows, ("total", bc.total, bc.total_limit)]:

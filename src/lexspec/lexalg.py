@@ -208,7 +208,7 @@ _ELEMENT_RE = re.compile(r"^\(\s*(-?\d+)\s*;\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)$")
 
 def format_element(a: LexElement) -> str:
     """Render as ``(h; g1, ..., gd)``, e.g. ``(1; 2)``."""
-    return f"({a.h}; {', '.join(str(x) for x in a.g)})"
+    return f"({a.h}; {', '.join(map(str, a.g))})"
 
 
 def parse_element(text: str, signature: AlgebraSignature) -> LexElement:

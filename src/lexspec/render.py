@@ -18,8 +18,8 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
-from .boxgeom import _merged_runs, format_rational
-from .charpoints import Block, _blocks, _point, format_ext_point
+from .boxgeom import _merged_runs, cell_ends, format_rational
+from .charpoints import Block, _blocks, _point, point_text
 from .spectral import StepResolution
 
 
@@ -136,18 +136,25 @@ def render_svg(F: StepResolution) -> str:
               "#444444"),
     ]
     # blocks, one rectangle per merged run of cells (the region's boxes)
+    w_text = [_fmt(X[r + 1] - X[r]) for r in range(len(X) - 1)]
+    h_text = [_fmt(Y[r] - Y[r + 1]) for r in range(len(Y) - 1)]
     for block in found:
         fill = shade[block.level]
+        if len(block.cells) == 1:  # its own run, with its cell's width and height
+            (x, y), = block.cells
+            out.append(_rect(x_text[x], y_text[y + 1], w_text[x], h_text[y], fill))
+            continue
         for x0, x1, y0, y1 in _merged_runs(2, block.cells):
             out.append(_rect(x_text[x0], y_text[y1 + 1], _fmt(X[x1 + 1] - X[x0]),
                              _fmt(Y[y0] - Y[y1 + 1]), fill))
+    ends = cell_ends(F.breakpoints)
     for rx, ry in starts:
         cx, cy = X[rx], Y[ry]
         out.append(
             f'<circle cx="{x_text[rx]}" cy="{y_text[ry]}" r="3.5" '
             f'fill="#b2182b" stroke="#ffffff" stroke-width="1"/>'
         )
-        label = _escape(format_ext_point(_point(F.breakpoints, (rx, ry))))
+        label = _escape(point_text(ends, (rx, ry)))
         out.append(
             f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" '
             f'font-family="monospace" font-size="11" fill="#111111">{label}</text>'

@@ -102,10 +102,16 @@ class StepResolution:
     @property
     def masses(self) -> dict[CellIndex, Flat]:
         """The nonzero atomic masses: ``table`` differenced over all axes."""
-        if self._masses is None:
-            diffs = dict(self._table)
-            _sweep(diffs, self.shape, range(self.n), diff=True)
-            self._masses = {idx: t for idx, t in diffs.items() if any(t)}
+        return self._masses if self._masses is not None else self._masses_of(self._flat())
+
+    def _flat(self) -> list[Flat]:
+        """``table`` as a list in ``cells()`` order."""
+        return list(map(self.table.__getitem__, self.cells()))
+
+    def _masses_of(self, flat: list[Flat]) -> dict[CellIndex, Flat]:
+        """Derive ``masses`` from ``flat = self._flat()``, differenced in place."""
+        diffs = zip(self.cells(), _swept(flat, self.shape, range(self.n), diff=True))
+        self._masses = {idx: t for idx, t in diffs if any(t)}
         return self._masses
 
     @property
@@ -303,38 +309,41 @@ def _placed(x: DiscreteObservable, breaks: Sequence[Sequence[Fraction]]) -> dict
     }
 
 
-def _sweep(
-    values: dict[CellIndex, Flat],
-    shape: Sequence[int],
-    axes: Iterable[int],
-    diff: bool = False,
-) -> None:
-    """Prefix-sum a map of flat cell values in place along each of ``axes``;
-    with ``diff``, take first differences instead, reading cells below index 0
-    as zero.  The map keeps its key order.
+def _sweep(values: dict[CellIndex, Flat], shape: Sequence[int], axes: Iterable[int],
+           diff: bool = False) -> None:
+    """:func:`_swept` on a map of cell values, updated in place in key order."""
+    cells = list(product(*[range(m + 1) for m in shape]))
+    values.update(zip(cells, _swept([values[idx] for idx in cells], shape, axes, diff)))
+
+
+def _swept(flat: list[Flat], shape: Sequence[int], axes: Iterable[int], diff: bool = False):
+    """Prefix-sum ``flat``, the flat values of the grid of ``shape`` in cell
+    order, in place along each of ``axes``, and return it; with ``diff``, take
+    first differences instead, reading cells below index 0 as zero.
 
     The two undo each other (Moebius inversion on a product of chains): a
     resolution is the prefix sum over all axes of its atomic masses, so every
     volume and partial difference on the grid is a sum of masses.  This is the
-    only place the grid is summed or differenced.  The map is read once into a
-    list in ``product`` (cell) order, where each axis-j line is one extended
-    slice ``flat[first:base + span:stride]`` (``stride`` is the cell count of
-    the axes after j), read and written back whole; one update ends the sweep.
+    only place the grid is summed or differenced.  It runs on one list per
+    component: a difference is one ``map``, each cell less the cell ``stride``
+    (the cell count of the later axes) before it, with index 0 put back; a sum
+    runs along each line, one extended slice ``col[first:base + span:stride]``.
     """
-    cells = list(product(*[range(m + 1) for m in shape]))
-    flat = [values[idx] for idx in cells]
+    cols, total = [list(c) for c in zip(*flat)], len(flat)
     for axis in axes:
         stride = prod(m + 1 for m in shape[axis + 1:])
         span = stride * (shape[axis] + 1)
-        for base in range(0, len(flat), span):
-            for first in range(base, base + stride):
-                comps = zip(*flat[first:base + span:stride])
-                if diff:
-                    comps = [(c[0], *map(sub, c[1:], c)) for c in comps]
-                else:
-                    comps = map(accumulate, comps)
-                flat[first:base + span:stride] = zip(*comps)
-    values.update(zip(cells, flat))
+        for i, col in enumerate(cols):
+            if diff:
+                cols[i] = out = col[:stride] + list(map(sub, col[stride:], col))
+                for base in range(span, total, span):
+                    out[base:base + stride] = col[base:base + stride]
+                continue
+            for base in range(0, total, span):
+                for first in range(base, base + stride):
+                    col[first:base + span:stride] = accumulate(col[first:base + span:stride])
+    flat[:] = zip(*cols)
+    return flat
 
 
 def to_observable(F: StepResolution) -> DiscreteObservable:
@@ -520,30 +529,32 @@ def check_axioms(F: StepResolution) -> AxiomReport:
     * partial_delta_nonneg: same reduction for every proper nonempty subset
       of axes with the remaining coordinates fixed anywhere on the grid.
 
-    The last two hold when no mass is negative; otherwise they scan one table
-    per axis set S, F differenced along S (single axes for monotone), built
-    from ``F.table`` on first use.
+    The last two hold when no mass is negative; otherwise they scan F
+    differenced along each axis set S (single axes for monotone): a copy of
+    one cell-order read of ``F.table``, the read that also derives its masses.
     """
     report = AxiomReport()
     sig = F.signature
     shape = F.shape
-    masses = F.masses
+    flat = F._flat() if F._masses is None else None
+    masses = F._masses if flat is None else F._masses_of(flat.copy())
     all_axes = tuple(range(F.n))
-    negative = sorted(idx for idx, t in masses.items() if not _nonneg(t))
+    negative = sorted(idx for idx, t in masses.items() if t[0] <= 0 and min(t) < 0)
 
     @cache
     def first_negative(axes: tuple[int, ...]) -> tuple[CellIndex, Flat] | None:
         """First negative entry of F differenced along ``axes``, in ``product``
         order, with its index; indices run from 1 on ``axes``, where a
-        difference needs the cell below.  A table is dropped after its scan."""
+        difference needs the cell below.  A list is dropped after its scan."""
         if axes == all_axes:
             return next(((idx, masses[idx]) for idx in negative if 0 not in idx), None)
-        table = dict(F.table)
-        _sweep(table, shape, axes, diff=True)
-        ranges = [range(1 if j in axes else 0, m + 1) for j, m in enumerate(shape)]
-        return next(
-            ((idx, table[idx]) for idx in product(*ranges) if not _nonneg(table[idx])), None
-        )
+        diffs = _swept(flat.copy() if flat else F._flat(), shape, axes, diff=True)
+        if min(map(min, diffs)) >= 0:  # a negative entry has a negative component
+            return None
+        for idx, t in zip(F.cells(), diffs):
+            if t[0] <= 0 and min(t) < 0 and all([idx[j] for j in axes]):
+                return idx, t
+        return None
 
     mono = AxiomStatus(True)
     # Each axis's first decrease is its least index, so the least (index,

@@ -33,16 +33,19 @@ from lexspec.charpoints import (
 )
 from lexspec.gallery import build_observable
 from lexspec.lexalg import AlgebraSignature, LexElement, in_unit_interval, meet
-from lexspec.observable import make_observable, observable_to_doc
+from lexspec.observable import ObservableError, make_observable, observable_to_doc
 from lexspec.render import render_ascii, render_svg
 from lexspec.spectral import (
+    ResolutionError,
     StepResolution,
     check_axioms,
+    eval_F,
     from_cells,
     from_observable,
     height_grid,
     resolution_from_doc,
     resolution_to_doc,
+    to_observable,
 )
 from lexspec.verify import (
     SplitMix64,
@@ -63,9 +66,11 @@ from oracles import (
     max_antichain,
     max_closed_joins_per_level,
     oracle_char_points,
+    oracle_difference_statuses,
     orthant_blocks,
     projection,
     reference_blocks,
+    reference_masses,
     reference_rays_2d,
     resolutions,
     shared_point_resolution,
@@ -809,6 +814,48 @@ class TestOrthantBlocks:
             assert len(found) == len(expected), i
             assert {b.char_point: (b.level, b.infimum) for b in found} == expected, i
         assert flat >= 50  # 88 of the 300 draws carry height-0 atoms
+
+
+class TestEverySmallTable:
+    """Every table on the 3 x 3 cells of breakpoints (1, 2) per axis, d = 1:
+    border cells 0, the top cell u, and each of the three other cells a member
+    of [0, u] with g in {-1, 0, 1} (343 tables at k = 2, 1,000 at k = 3).
+    Every negative-mass scan of ``check_axioms`` is reached on every shape."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_against_the_oracles(self, k):
+        sig = AlgebraSignature(k, 1)
+        members = [LexElement(sig, h, (g,)) for h in range(k + 1) for g in (-1, 0, 1)
+                   if (h, g) not in {(0, -1), (k, 1)}]
+        breakpoints = [(Q(1), Q(2))] * 2
+        free = [(1, 1), (1, 2), (2, 1)]
+        passed = 0
+        for chosen in product(members, repeat=len(free)):
+            values = {idx: sig.zero for idx in product(range(3), repeat=2)}
+            values[(2, 2)] = sig.unit
+            values.update(zip(free, chosen))
+            F = from_cells(sig, 2, breakpoints, values)
+            assert F.masses == reference_masses(F)
+            F = from_cells(sig, 2, breakpoints, values)  # masses derived by check_axioms
+            report = check_axioms(F)
+            for name, want in oracle_difference_statuses(F).items():
+                assert (report.statuses[name].ok, report.statuses[name].witness) == want
+            assert F.masses == reference_masses(F)
+            G, found = _blocks(F)
+            assert found == reference_blocks(G)
+            try:
+                x = to_observable(F)
+                G = from_observable(x)
+                exact = all(eval_F(G, F.cell_rep(idx)) == v for idx, v in values.items())
+            except (ObservableError, ResolutionError):
+                exact = False
+            assert report.ok == exact, values
+            if exact:
+                passed += 1
+                blocks = all_blocks(F).all_blocks()
+                assert {b.char_point: (b.level, b.infimum) for b in blocks} == orthant_blocks(x)
+                assert len(blocks) == len(orthant_blocks(x))
+        assert len(members) ** 3 == (343, 1000)[k - 2] and 0 < passed < len(members) ** 3
 
 
 class TestHeightGrid:
